@@ -355,7 +355,11 @@ class InvariantMonitor:
         retired: an aborted trial legitimately strands parked attempts.
         """
         self.collector.finalize(now)
-        if self._tracker is None or not self._tracker.finished:
+        # Release the trial wiring: the trial holds this monitor, so keeping
+        # it would leave the finished trial in a reference cycle.
+        tracker = self._tracker
+        self._tracker = self._runtime = self._block_map = None
+        if tracker is None or not tracker.finished:
             return
         for key in sorted(self._running, key=repr):
             job_id, task, ident, node = key

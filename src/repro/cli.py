@@ -67,7 +67,8 @@ Exit codes
     partial result.
 ``2``
     Bad invocation: unparsable flags, a malformed ``--code``/config file,
-    or an unwritable output path.
+    a config the simulator cannot run (e.g. ``--map-slots 0``), or an
+    unwritable output path.
 ``3``
     The sanitizer found an invariant violation (``--check`` / ``fuzz``).
 ``4``
@@ -86,6 +87,7 @@ repetitions, default 3).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.cluster.failures import FailurePattern
@@ -167,9 +169,76 @@ def _build_parser() -> argparse.ArgumentParser:
         "accounting (done + failed + quarantined == submitted)",
     )
 
+    # Campaign flags, each declared once and shared through argparse parents.
+    store_flags = argparse.ArgumentParser(add_help=False)
+    store_flags.add_argument(
+        "--journal",
+        dest="journal_path",
+        metavar="FILE",
+        help="write-ahead JSONL journal of finished trials; re-running with "
+        "the same journal skips them (crash-safe resume)",
+    )
+    store_flags.add_argument(
+        "--cache-dir",
+        dest="cache_dir",
+        metavar="DIR",
+        help="content-addressed result cache shared across campaigns "
+        "(sha256-verified; corrupt entries quarantined and recomputed)",
+    )
+    execution_flags = argparse.ArgumentParser(add_help=False)
+    execution_flags.add_argument(
+        "--retries",
+        type=int,
+        default=2,
+        help="re-attempts per trial after the first try (default 2)",
+    )
+    execution_flags.add_argument(
+        "--trial-timeout",
+        dest="trial_timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="wall-clock budget per trial attempt; an overrunning "
+        "worker is killed and the trial retried",
+    )
+    execution_flags.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="pool width (default: REPRO_WORKERS or every core)",
+    )
+    cluster_flags = argparse.ArgumentParser(add_help=False)
+    cluster_flags.add_argument(
+        "--nodes", type=int, default=40, help="cluster size (default 40)"
+    )
+    cluster_flags.add_argument(
+        "--blocks",
+        type=int,
+        default=1440,
+        help="input blocks per job (default 1440; lower for quick runs)",
+    )
+    sweep_flags = argparse.ArgumentParser(add_help=False, parents=[cluster_flags])
+    sweep_flags.add_argument(
+        "--spec",
+        dest="spec_path",
+        metavar="FILE",
+        help="load the sweep spec (repro.campaign/v1 JSON) from a file "
+        "instead of building it from the flags below (resume: the "
+        "interrupted run's spec)",
+    )
+    sweep_flags.add_argument(
+        "--schedulers",
+        default="LF,BDF,EDF",
+        help="comma-separated scheduler list (default LF,BDF,EDF)",
+    )
+    sweep_flags.add_argument(
+        "--seeds", type=int, default=5, help="seeds per scheduler (default 5)"
+    )
+
     reliability = commands.add_parser(
         "reliability",
         help="run a long-horizon reliability campaign (MTTDL, latency tails)",
+        parents=[store_flags],
     )
     reliability.add_argument(
         "--model",
@@ -251,20 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="also write the full campaign report as canonical JSON",
     )
-    reliability.add_argument(
-        "--journal",
-        dest="journal_path",
-        metavar="FILE",
-        help="write-ahead journal for the window sweep; re-running with the "
-        "same journal skips finished windows (crash-safe resume)",
-    )
-    reliability.add_argument(
-        "--cache-dir",
-        dest="cache_dir",
-        metavar="DIR",
-        help="content-addressed result cache for window trials "
-        "(sha256-verified; corrupt entries quarantined and recomputed)",
-    )
 
     campaign = commands.add_parser(
         "campaign",
@@ -272,99 +327,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     campaign_commands = campaign.add_subparsers(dest="campaign_command", required=True)
 
-    def _campaign_execution_flags(subparser: argparse.ArgumentParser) -> None:
-        subparser.add_argument(
-            "--journal",
-            dest="journal_path",
-            metavar="FILE",
-            help="write-ahead JSONL journal of trial completions "
-            "(required for resume)",
+    for name, summary in (
+        ("run", "run a seeds x schedulers sweep from scratch"),
+        ("resume", "finish an interrupted sweep from its journal"),
+    ):
+        sweep = campaign_commands.add_parser(
+            name, help=summary, parents=[sweep_flags, store_flags, execution_flags]
         )
-        subparser.add_argument(
-            "--cache-dir",
-            dest="cache_dir",
-            metavar="DIR",
-            help="content-addressed result cache shared across campaigns",
-        )
-        subparser.add_argument(
-            "--retries",
-            type=int,
-            default=2,
-            help="re-attempts per trial after the first try (default 2)",
-        )
-        subparser.add_argument(
-            "--trial-timeout",
-            dest="trial_timeout",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="wall-clock budget per trial attempt; an overrunning "
-            "worker is killed and the trial retried",
-        )
-        subparser.add_argument(
+        sweep.add_argument(
             "--backoff",
             type=float,
             default=0.5,
             metavar="SECONDS",
             help="base of the exponential retry backoff (default 0.5)",
         )
-        subparser.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="pool width (default: REPRO_WORKERS or every core)",
-        )
-        subparser.add_argument(
+        sweep.add_argument(
             "--report",
             dest="report_path",
             metavar="FILE",
             help="also write the campaign report as canonical JSON "
             "(bit-identical across interrupted-and-resumed runs)",
         )
-
-    campaign_run = campaign_commands.add_parser(
-        "run", help="run a seeds x schedulers sweep from scratch"
-    )
-    campaign_run.add_argument(
-        "--spec",
-        dest="spec_path",
-        metavar="FILE",
-        help="load the sweep spec (repro.campaign/v1 JSON) from a file "
-        "instead of building it from the flags below",
-    )
-    campaign_run.add_argument(
-        "--schedulers",
-        default="LF,BDF,EDF",
-        help="comma-separated scheduler list (default LF,BDF,EDF)",
-    )
-    campaign_run.add_argument(
-        "--seeds", type=int, default=5, help="seeds per scheduler (default 5)"
-    )
-    campaign_run.add_argument(
-        "--nodes", type=int, default=40, help="cluster size (default 40)"
-    )
-    campaign_run.add_argument(
-        "--blocks",
-        type=int,
-        default=1440,
-        help="input blocks per job (default 1440; lower for quick sweeps)",
-    )
-    _campaign_execution_flags(campaign_run)
-
-    campaign_resume = campaign_commands.add_parser(
-        "resume", help="finish an interrupted sweep from its journal"
-    )
-    campaign_resume.add_argument(
-        "--spec",
-        dest="spec_path",
-        metavar="FILE",
-        help="sweep spec JSON (must match the interrupted run)",
-    )
-    campaign_resume.add_argument("--schedulers", default="LF,BDF,EDF")
-    campaign_resume.add_argument("--seeds", type=int, default=5)
-    campaign_resume.add_argument("--nodes", type=int, default=40)
-    campaign_resume.add_argument("--blocks", type=int, default=1440)
-    _campaign_execution_flags(campaign_resume)
 
     campaign_status = campaign_commands.add_parser(
         "status", help="summarise a campaign journal without running"
@@ -388,6 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tournament = commands.add_parser(
         "tournament",
         help="rank every registered policy over a shared scenario set",
+        parents=[store_flags, execution_flags, cluster_flags],
     )
     tournament.add_argument(
         "--policies",
@@ -399,18 +383,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, default=3, help="seeds per scenario (default 3)"
     )
     tournament.add_argument(
-        "--nodes", type=int, default=40, help="cluster size (default 40)"
-    )
-    tournament.add_argument(
         "--racks", type=int, default=4, help="rack count (default 4)"
     )
     tournament.add_argument("--code", default="20,15", help="n,k (e.g. 20,15)")
-    tournament.add_argument(
-        "--blocks",
-        type=int,
-        default=1440,
-        help="input blocks per job (default 1440; lower for quick runs)",
-    )
     tournament.add_argument(
         "--corpus",
         dest="corpus_dir",
@@ -437,39 +412,6 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="html_path",
         metavar="FILE",
         help="also write the leaderboard as a self-contained HTML dashboard",
-    )
-    tournament.add_argument(
-        "--journal",
-        dest="journal_path",
-        metavar="FILE",
-        help="write-ahead JSONL journal; re-running with the same journal "
-        "skips finished trials (crash-safe resume)",
-    )
-    tournament.add_argument(
-        "--cache-dir",
-        dest="cache_dir",
-        metavar="DIR",
-        help="content-addressed result cache shared across tournaments",
-    )
-    tournament.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="re-attempts per trial after the first try (default 2)",
-    )
-    tournament.add_argument(
-        "--trial-timeout",
-        dest="trial_timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget per trial attempt",
-    )
-    tournament.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="pool width (default: REPRO_WORKERS or every core)",
     )
 
     simulate = commands.add_parser("simulate", help="run one simulation trial")
@@ -702,29 +644,19 @@ def _experiment_summary(name: str) -> str | None:
 
 
 def _cmd_run(names: list[str], check: bool = False, summary: bool = False) -> int:
-    import contextlib
-    import os
-
+    from repro.check import InvariantViolationError
     from repro.experiments.registry import get_experiment
+    from repro.mapreduce.simulation import check_mode
 
-    if check:
-        from repro.check import InvariantViolationError
-
-        # Experiments fan trials out over a process pool; the environment
-        # variable is how check mode reaches the worker processes.
-        env = {"REPRO_CHECK": "1"}
-        catch: type[BaseException] = InvariantViolationError
-    else:
-        env = {}
-        catch = ()  # type: ignore[assignment]
-    previous = {name: os.environ.get(name) for name in env}
-    os.environ.update(env)
-    try:
+    # Experiments fan trials out over a process pool; the environment
+    # variable check_mode sets is how check mode reaches the workers.  A
+    # violation can only be raised in check mode (--check or REPRO_CHECK).
+    with check_mode(check):
         for name in names:
             runner = get_experiment(name)
             try:
                 print(runner())
-            except catch as error:
+            except InvariantViolationError as error:
                 print(error.report(), file=sys.stderr)
                 print(f"experiment {name!r} violated an invariant", file=sys.stderr)
                 return 3
@@ -736,12 +668,6 @@ def _cmd_run(names: list[str], check: bool = False, summary: bool = False) -> in
                     else f"[{name}] no representative simulation trial to summarize"
                 )
             print()
-    finally:
-        for name, value in previous.items():
-            with contextlib.suppress(KeyError):
-                del os.environ[name]
-            if value is not None:
-                os.environ[name] = value
     return 0
 
 
@@ -839,11 +765,48 @@ def _interrupted_message(stop, journal_path: str | None) -> str:
     return f"interrupted: {stop.remaining} trial(s) remaining; {saved}"
 
 
+def _drive_campaign(run, spec, policy, args, check: bool = False) -> dict | None:
+    """Run a sweep or tournament driver with the shared campaign plumbing.
+
+    Opens ``--cache-dir``, prints per-trial progress and then the cache
+    stats, and runs under the sanitizer when ``check`` is set.  Returns the
+    report, or None after reporting an interrupt on stderr (exit 5).
+    """
+    from repro.experiments.cache import open_cache
+    from repro.experiments.campaign import CampaignInterrupted
+    from repro.mapreduce.simulation import check_mode
+
+    cache = open_cache(args.cache_dir)
+
+    def progress(index: int, status: str, attempts: int) -> None:
+        retried = f" (attempt {attempts})" if attempts > 1 else ""
+        print(f"trial {index:4d}: {status}{retried}")
+
+    try:
+        with check_mode(check):
+            report, _outcome = run(
+                spec,
+                policy=policy,
+                journal_path=args.journal_path,
+                cache=cache,
+                progress=progress,
+            )
+    except CampaignInterrupted as stop:
+        print(_interrupted_message(stop, args.journal_path), file=sys.stderr)
+        return None
+    if cache is not None:
+        stats = cache.stats
+        print(
+            f"cache: {stats.hits} hit(s), {stats.misses} miss(es), "
+            f"{stats.corrupt} corrupt, {stats.stores} store(s)"
+        )
+    return report
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
     import json
 
     from repro.experiments.campaign import (
-        CampaignInterrupted,
         CampaignPolicy,
         Journal,
         SweepSpec,
@@ -893,43 +856,19 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         if not journal_path:
             print("campaign resume needs --journal", file=sys.stderr)
             return 2
-        import os
-
         if not os.path.exists(journal_path):
             print(f"no journal at {journal_path!r} to resume from", file=sys.stderr)
             return 2
-    elif journal_path:
-        import os
-
-        if os.path.exists(journal_path) and Journal.load(journal_path).records:
-            print(
-                f"journal {journal_path!r} already has finished trials; "
-                "use 'repro campaign resume' to continue it",
-                file=sys.stderr,
-            )
-            return 2
-
-    cache = None
-    if args.cache_dir:
-        from repro import __version__
-        from repro.experiments.cache import ResultCache
-
-        cache = ResultCache(directory=args.cache_dir, code_version=__version__)
-
-    def progress(index: int, status: str, attempts: int) -> None:
-        retried = f" (attempt {attempts})" if attempts > 1 else ""
-        print(f"trial {index:4d}: {status}{retried}")
-
-    try:
-        report, _outcome = run_sweep(
-            spec,
-            policy=policy,
-            journal_path=journal_path,
-            cache=cache,
-            progress=progress,
+    elif journal_path and Journal.load(journal_path).records:
+        print(
+            f"journal {journal_path!r} already has finished trials; "
+            "use 'repro campaign resume' to continue it",
+            file=sys.stderr,
         )
-    except CampaignInterrupted as stop:
-        print(_interrupted_message(stop, journal_path), file=sys.stderr)
+        return 2
+
+    report = _drive_campaign(run_sweep, spec, policy, args)
+    if report is None:
         return 5
     print(render_sweep_report(report))
     if args.report_path and not _write_output(
@@ -938,12 +877,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 2
     if args.report_path:
         print(f"campaign report written to {args.report_path}")
-    if cache is not None:
-        stats = cache.stats
-        print(
-            f"cache: {stats.hits} hit(s), {stats.misses} miss(es), "
-            f"{stats.corrupt} corrupt, {stats.stores} store(s)"
-        )
     return 1 if report["failures"] else 0
 
 
@@ -958,15 +891,8 @@ def _cmd_policies(args: argparse.Namespace) -> int:
 
 
 def _cmd_tournament(args: argparse.Namespace) -> int:
-    import contextlib
-    import os
-
     from repro.core.scheduler import POLICIES
-    from repro.experiments.campaign import (
-        CampaignInterrupted,
-        CampaignPolicy,
-        Journal,
-    )
+    from repro.experiments.campaign import CampaignPolicy, Journal
     from repro.experiments.tournament import (
         TournamentSpec,
         corpus_scenarios,
@@ -1016,42 +942,12 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
         print(f"bad tournament options: {error}", file=sys.stderr)
         return 2
 
-    journal_path = args.journal_path
-    if journal_path:
-        if os.path.exists(journal_path) and Journal.load(journal_path).records:
-            print(f"resuming tournament from journal {journal_path!r}")
+    if args.journal_path and Journal.load(args.journal_path).records:
+        print(f"resuming tournament from journal {args.journal_path!r}")
 
-    cache = None
-    if args.cache_dir:
-        from repro import __version__
-        from repro.experiments.cache import ResultCache
-
-        cache = ResultCache(directory=args.cache_dir, code_version=__version__)
-
-    def progress(index: int, status: str, attempts: int) -> None:
-        retried = f" (attempt {attempts})" if attempts > 1 else ""
-        print(f"trial {index:4d}: {status}{retried}")
-
-    env = {"REPRO_CHECK": "1"} if args.check else {}
-    previous = {name: os.environ.get(name) for name in env}
-    os.environ.update(env)
-    try:
-        report, _outcome = run_tournament(
-            spec,
-            policy=policy,
-            journal_path=journal_path,
-            cache=cache,
-            progress=progress,
-        )
-    except CampaignInterrupted as stop:
-        print(_interrupted_message(stop, journal_path), file=sys.stderr)
+    report = _drive_campaign(run_tournament, spec, policy, args, check=args.check)
+    if report is None:
         return 5
-    finally:
-        for name, value in previous.items():
-            with contextlib.suppress(KeyError):
-                del os.environ[name]
-            if value is not None:
-                os.environ[name] = value
     print(render_leaderboard(report))
     if args.json_path and not _write_output(args.json_path, report_to_json(report)):
         return 2
@@ -1063,12 +959,6 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
         if not _write_output(args.html_path, report_html(report)):
             return 2
         print(f"leaderboard dashboard written to {args.html_path}")
-    if cache is not None:
-        stats = cache.stats
-        print(
-            f"cache: {stats.hits} hit(s), {stats.misses} miss(es), "
-            f"{stats.corrupt} corrupt, {stats.stores} store(s)"
-        )
     return 1 if report["failures"] else 0
 
 
@@ -1116,25 +1006,29 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "--scrub-interval needs --repair-bandwidth-mbps", file=sys.stderr
         )
         return 2
-    config = SimulationConfig(
-        num_nodes=args.nodes,
-        num_racks=args.racks,
-        map_slots=args.map_slots,
-        code=code,
-        block_size=args.block_size_mb * MB,
-        rack_bandwidth=mbps(args.bandwidth_mbps),
-        jobs=(JobConfig(num_blocks=args.blocks),),
-        failure=FailurePattern(args.failure),
-        failure_time=args.failure_time,
-        failure_schedule=schedule,
-        max_attempts=args.max_attempts,
-        heartbeat_expiry=args.heartbeat_expiry,
-        speculative=args.speculative,
-        repair=repair,
-        wait_for_repair=args.wait_for_repair,
-        scheduler=scheduler,
-        seed=args.seed,
-    )
+    try:
+        config = SimulationConfig(
+            num_nodes=args.nodes,
+            num_racks=args.racks,
+            map_slots=args.map_slots,
+            code=code,
+            block_size=args.block_size_mb * MB,
+            rack_bandwidth=mbps(args.bandwidth_mbps),
+            jobs=(JobConfig(num_blocks=args.blocks),),
+            failure=FailurePattern(args.failure),
+            failure_time=args.failure_time,
+            failure_schedule=schedule,
+            max_attempts=args.max_attempts,
+            heartbeat_expiry=args.heartbeat_expiry,
+            speculative=args.speculative,
+            repair=repair,
+            wait_for_repair=args.wait_for_repair,
+            scheduler=scheduler,
+            seed=args.seed,
+        )
+    except ValueError as error:
+        print(f"bad simulation options: {error}", file=sys.stderr)
+        return 2
     return _report_simulation(args, config)
 
 

@@ -25,8 +25,8 @@ What makes it *safe* is that nothing from disk is ever trusted blindly:
 
 Payloads must be canonical-JSON-serialisable (plain dicts/lists/strings/
 numbers); trial runners that return full result objects cannot be cached
--- use a digesting runner (:class:`repro.experiments.common.DigestedRunner`
-or the campaign trial runners) instead.
+-- use the campaign trial runner
+(:func:`repro.experiments.campaign.sweep_trial`) instead.
 """
 
 from __future__ import annotations
@@ -206,3 +206,12 @@ class ResultCache:
             self._path(key), json.dumps(entry, sort_keys=True, indent=2) + "\n"
         )
         self.stats.stores += 1
+
+
+def open_cache(directory: str | None) -> ResultCache | None:
+    """The cache at ``directory`` for the running code version (None: none)."""
+    if directory is None:
+        return None
+    from repro import __version__
+
+    return ResultCache(directory=directory, code_version=__version__)

@@ -38,18 +38,20 @@ treats each trial as an individually tracked unit of work:
   quarantined and recomputed, never deserialised into a report.
 
 Journaling and caching require the runner's payload to be canonical-JSON
-serialisable (digest/telemetry runners are; raw
+serialisable (:func:`sweep_trial` payloads are; raw
 :class:`~repro.mapreduce.metrics.SimulationResult` runners are not --
 those still get worker fault tolerance, just not persistence).
 
-On top of the engine sits the ``repro campaign`` sweep layer: a
-:class:`SweepSpec` (base config x schedulers x seeds, schema
-``repro.campaign/v1``) executed by :func:`run_sweep` into a canonically
-ordered report (schema ``repro.campaign-report/v1``) whose scheduler rows
-carry merged :class:`~repro.obs.digest.LatencyDigest` telemetry.  The
-report deliberately excludes volatile execution counters (cache hits,
-retries, journal replays) so interrupted-and-resumed campaigns stay
-bit-identical to uninterrupted ones.
+On top of the engine sits one grid driver, :func:`run_grid`: it runs a
+spec's trial grid through :func:`sweep_trial` and folds the payloads per
+group, in grid order, into merged :class:`~repro.obs.digest.LatencyDigest`
+rows.  The ``repro campaign`` sweep (:class:`SweepSpec`, base config x
+schedulers x seeds, schema ``repro.campaign/v1``, executed by
+:func:`run_sweep` into schema ``repro.campaign-report/v1``), the policy
+tournament and the reliability campaign's windows all run on it.  Reports
+deliberately exclude volatile execution counters (cache hits, retries,
+journal replays) so interrupted-and-resumed campaigns stay bit-identical
+to uninterrupted ones.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import signal
 import threading
@@ -69,10 +72,12 @@ from repro.experiments.cache import (
     canonical_json,
     payload_sha256,
 )
+from repro.experiments.common import max_workers
 from repro.faults.errors import JobFailedError
 from repro.mapreduce.config import SimulationConfig
 from repro.mapreduce.serialization import config_from_dict, config_to_dict
 from repro.mapreduce.simulation import run_simulation
+from repro.obs.digest import LatencyDigest, digest_result
 
 #: Schema tags for the journal lines, the sweep spec, and the sweep report.
 JOURNAL_SCHEMA = "repro.campaign-journal/v1"
@@ -240,9 +245,8 @@ def runner_spec(runner) -> object:
     """A canonical, JSON-safe description of a trial runner.
 
     Module-level callables are named by ``module.qualname``; dataclass
-    wrapper runners (e.g. :class:`~repro.experiments.common.DigestedRunner`)
-    contribute their class name plus their fields, recursing into callable
-    fields.  Runners may override this with a ``campaign_spec()`` method.
+    wrapper runners contribute their class name plus their fields,
+    recursing into callable fields.  Runners may override this with a ``campaign_spec()`` method.
     """
     override = getattr(runner, "campaign_spec", None)
     if override is not None:
@@ -647,7 +651,7 @@ class CampaignEngine:
                         continue
                 pending.append(index)
 
-            workers = self.policy.workers or _default_workers()
+            workers = self.policy.workers or max_workers()
             previous_handlers = self._install_signal_handlers()
             try:
                 if len(pending) <= 2 or workers == 1:
@@ -889,45 +893,155 @@ class CampaignEngine:
             raise CampaignInterrupted(0, self.counters)
 
 
-def _default_workers() -> int:
-    from repro.experiments.common import max_workers
-
-    return max_workers()
-
-
 # -- the sweep layer (``repro campaign``) -------------------------------------
 
 
 def sweep_trial(config: SimulationConfig) -> dict:
-    """One sweep trial: digests plus job counters, refusals as data.
+    """One campaign trial: digests plus job counters, refusals as data.
 
-    Module-level and JSON-payload so campaigns can journal and cache it.
-    A job failure (retry budget, data unavailable) is a campaign
-    observation, not a crash; invariant violations still propagate.
+    Module-level and JSON-payload so campaigns can journal and cache it;
+    sweeps, tournaments and reliability windows all run it.  A job failure
+    (retry budget, data unavailable) is a campaign observation, not a
+    crash; invariant violations still propagate.  ``data_loss`` marks a
+    trial that met unrecoverable data (a refusal at build time always
+    does) and ``slope`` is the least-squares slope of completed jobs'
+    sojourn over submit time (None when underdetermined).
     """
-    import math
-
-    from repro.obs.digest import digest_result
-
     try:
         result = run_simulation(config)
     except JobFailedError as error:
         result = error.result
     if result is None:
-        return {"refused": True, "jobs": None, "digests": None}
-    submitted = completed = failed = 0
-    for job in result.jobs.values():
-        submitted += 1
-        if job.failed or math.isnan(job.finish_time):
-            failed += 1
-        else:
-            completed += 1
+        return {
+            "refused": True,
+            "data_loss": True,
+            "jobs": None,
+            "slope": None,
+            "digests": None,
+        }
+    jobs = result.jobs.values()
+    points = [
+        (job.submit_time, job.makespan)
+        for job in jobs
+        if not (job.failed or math.isnan(job.finish_time))
+    ]
+    completed = len(points)
     return {
         "refused": False,
-        "jobs": {"submitted": submitted, "completed": completed, "failed": failed},
+        "data_loss": any(job.failure_kind == "data-unavailable" for job in jobs),
+        "jobs": {
+            "submitted": len(jobs),
+            "completed": completed,
+            "failed": len(jobs) - completed,
+        },
+        "slope": fit_slope(points),
         "digests": {
             name: digest.to_dict() for name, digest in digest_result(result).items()
         },
+    }
+
+
+def fit_slope(points: list[tuple[float, float]]) -> float | None:
+    """Least-squares slope of y over x; None when underdetermined."""
+    if len(points) < 2:
+        return None
+    mean_x = sum(x for x, _ in points) / len(points)
+    mean_y = sum(y for _, y in points) / len(points)
+    var = sum((x - mean_x) ** 2 for x, _ in points)
+    if var == 0.0:
+        return None
+    cov = sum((x - mean_x) * (y - mean_y) for x, y in points)
+    return cov / var
+
+
+@dataclass
+class GridRow:
+    """One group's trials folded in grid order (see :func:`run_grid`)."""
+
+    trials: int = 0
+    jobs: dict[str, int] = field(
+        default_factory=lambda: {"submitted": 0, "completed": 0, "failed": 0}
+    )
+    digests: dict[str, LatencyDigest] = field(
+        default_factory=lambda: {
+            name: LatencyDigest() for name in ("degraded_read", "sojourn", "makespan")
+        }
+    )
+    #: (key, payload) of every done trial, refused ones included.
+    payloads: list[tuple[tuple, dict]] = field(default_factory=list)
+
+    def to_dict(self) -> dict:
+        """The report row every campaign kind shares."""
+        return {
+            "trials": self.trials,
+            "done": len(self.payloads),
+            "refused": sum(payload["refused"] for _key, payload in self.payloads),
+            "jobs": self.jobs,
+            "degraded_read_seconds": self.digests["degraded_read"].percentiles(),
+            "makespan_seconds": self.digests["makespan"].percentiles(),
+            "telemetry": {
+                name: digest.to_dict() for name, digest in self.digests.items()
+            },
+        }
+
+
+def run_grid(
+    configs: list[SimulationConfig],
+    keys: list[tuple],
+    groups: tuple[str, ...],
+    axis: int,
+    runner=sweep_trial,
+    policy: CampaignPolicy | None = None,
+    journal_path: str | None = None,
+    cache: ResultCache | None = None,
+    progress=None,
+) -> tuple[dict[str, GridRow], CampaignOutcome]:
+    """Run a trial grid through the engine and fold it per group.
+
+    ``configs``/``keys`` come from a spec's ``grid()``; ``key[axis]`` names
+    the trial's group (a scheduler or policy) and ``groups`` fixes the row
+    order.  Payloads fold **in grid order** -- float digest totals are
+    order-dependent, so this is what keeps serial, parallel and resumed
+    runs bit-identical.  Without a ``policy`` trial failures are collected
+    as typed rows rather than raised.
+    """
+    if policy is None:
+        policy = CampaignPolicy(on_error="collect")
+    engine = CampaignEngine(
+        runner=runner,
+        policy=policy,
+        journal_path=journal_path,
+        cache=cache,
+        progress=progress,
+    )
+    outcome = engine.run(configs)
+    rows = {group: GridRow() for group in groups}
+    for key, payload in zip(keys, outcome.results):
+        row = rows[key[axis]]
+        row.trials += 1
+        if payload is None:
+            continue
+        row.payloads.append((key, payload))
+        if payload["refused"]:
+            continue
+        for name in row.jobs:
+            row.jobs[name] += payload["jobs"][name]
+        for name, digest in row.digests.items():
+            digest.merge(LatencyDigest.from_dict(payload["digests"][name]))
+    return rows, outcome
+
+
+def outcome_blocks(outcome: CampaignOutcome) -> dict:
+    """The ``accounting`` and ``failures`` report blocks of a grid run.
+
+    Accounting keeps only the stable counters; cache hits, replays and
+    retries depend on how the run executed, so reports leave them out.
+    """
+    counters = outcome.counters.to_dict()
+    stable = ("submitted", "done", "failed", "quarantined")
+    return {
+        "accounting": {name: counters[name] for name in stable},
+        "failures": [failure.to_dict() for failure in outcome.failures],
     }
 
 
@@ -1001,75 +1115,53 @@ def run_sweep(
     or retry counts -- so an interrupted-then-resumed campaign emits
     byte-identical report JSON.
     """
-    if policy is None:
-        policy = CampaignPolicy(on_error="collect")
     configs, keys = spec.grid()
-    engine = CampaignEngine(
-        runner=sweep_trial,
+    rows, outcome = run_grid(
+        configs,
+        keys,
+        spec.schedulers,
+        0,
         policy=policy,
         journal_path=journal_path,
         cache=cache,
         progress=progress,
     )
-    outcome = engine.run(configs)
-
-    from repro.obs.digest import LatencyDigest
-
-    rows: dict[str, dict] = {}
-    for scheduler in spec.schedulers:
-        merged = {
-            "degraded_read": LatencyDigest(),
-            "sojourn": LatencyDigest(),
-            "makespan": LatencyDigest(),
-        }
-        trials = done = refused = 0
-        jobs = {"submitted": 0, "completed": 0, "failed": 0}
-        # Merge in grid order -- the canonical order that keeps serial,
-        # parallel, and resumed campaigns bit-identical.
-        for (key_scheduler, _seed), payload in zip(keys, outcome.results):
-            if key_scheduler != scheduler:
-                continue
-            trials += 1
-            if payload is None:
-                continue
-            done += 1
-            if payload["refused"]:
-                refused += 1
-                continue
-            for name in jobs:
-                jobs[name] += payload["jobs"][name]
-            for name, digest in merged.items():
-                digest.merge(LatencyDigest.from_dict(payload["digests"][name]))
-        rows[scheduler] = {
-            "trials": trials,
-            "done": done,
-            "refused": refused,
-            "jobs": jobs,
-            "degraded_read_seconds": merged["degraded_read"].percentiles(),
-            "makespan_seconds": merged["makespan"].percentiles(),
-            "telemetry": {
-                name: digest.to_dict() for name, digest in merged.items()
-            },
-        }
-
     report = {
         "schema": REPORT_SCHEMA,
         "campaign": spec.to_dict(),
-        "accounting": {
-            "submitted": outcome.counters.submitted,
-            "done": outcome.counters.done,
-            "failed": outcome.counters.failed,
-            "quarantined": outcome.counters.quarantined,
-        },
-        "failures": [failure.to_dict() for failure in outcome.failures],
-        "schedulers": rows,
+        **outcome_blocks(outcome),
+        "schedulers": {name: row.to_dict() for name, row in rows.items()},
     }
     return report, outcome
 
 
 def report_to_json(report: dict) -> str:
-    """Canonical JSON for a sweep report (bit-identical across runs)."""
+    """Canonical JSON for a campaign, tournament or reliability report.
+
+    Sorted keys and strict JSON (``allow_nan=False``), so a report is
+    bit-identical across reruns and execution modes.
+    """
     return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def render_latency(latency: dict) -> str:
+    """A percentiles block as the reports' one-line degraded-read tail."""
+    if not latency["count"]:
+        return "degraded reads: none observed"
+    return (
+        f"degraded reads n={latency['count']}"
+        f" p50={latency['p50']:.2f}s p95={latency['p95']:.2f}s"
+        f" p99={latency['p99']:.2f}s"
+    )
+
+
+def render_failures(report: dict) -> list[str]:
+    """One line per failed-trial row of a sweep or tournament report."""
+    return [
+        f"  FAILED trial {failure['index']} [{failure['kind']}] "
+        f"after {failure['attempts']} attempt(s): {failure['message']}"
+        for failure in report["failures"]
+    ]
 
 
 def render_sweep_report(report: dict) -> str:
@@ -1081,26 +1173,12 @@ def render_sweep_report(report: dict) -> str:
         f" {accounting['failed']} failed, {accounting['quarantined']} quarantined",
     ]
     for scheduler, row in report["schedulers"].items():
-        latency = row["degraded_read_seconds"]
-        if latency["count"]:
-            tail = (
-                f"degraded reads n={latency['count']}"
-                f" p50={latency['p50']:.2f}s p95={latency['p95']:.2f}s"
-                f" p99={latency['p99']:.2f}s"
-            )
-        else:
-            tail = "degraded reads: none observed"
         makespan = row["makespan_seconds"]
         head = (
             f"makespan p50={makespan['p50']:.1f}s" if makespan["count"] else "no data"
         )
         lines.append(
-            f"  {scheduler:>3}: {row['done']}/{row['trials']} trial(s); {head}; {tail}"
+            f"  {scheduler:>3}: {row['done']}/{row['trials']} trial(s); {head};"
+            f" {render_latency(row['degraded_read_seconds'])}"
         )
-    for failure in report["failures"]:
-        lines.append(
-            f"  FAILED trial {failure['index']} [{failure['kind']}] "
-            f"after {failure['attempts']} attempt(s): {failure['message']}"
-        )
-    return "\n".join(lines)
-
+    return "\n".join(lines + render_failures(report))

@@ -76,104 +76,23 @@ def run_many(
     configs: list[SimulationConfig],
     runner=run_simulation,
     policy=None,
-    journal_path: str | None = None,
-    cache_dir: str | None = None,
 ) -> list[SimulationResult]:
     """Run many independent trials, in parallel when it pays off.
 
     ``runner`` must be a module-level callable (the process pool pickles
-    it); campaigns pass a wrapper that converts typed refusals into data
-    instead of letting one doomed trial abort the whole batch.  Serial and
-    parallel execution produce identical result lists.
+    it).  Serial and parallel execution produce identical result lists.
 
     Execution goes through the crash-safe
     :class:`~repro.experiments.campaign.CampaignEngine`: a worker killed
     by the OS costs a retry, never the batch.  By default trial exceptions
     propagate exactly as they always have; pass a
     :class:`~repro.experiments.campaign.CampaignPolicy` to change retry/
-    timeout/failure-collection behaviour, ``journal_path`` to make the run
-    resumable, and ``cache_dir`` to reuse verified results across runs
-    (both require a JSON-payload runner such as :class:`DigestedRunner`).
+    timeout/failure-collection behaviour.  Journaled, cached and digested
+    runs go through :func:`repro.experiments.campaign.run_grid` instead.
     """
     from repro.experiments.campaign import CampaignEngine
 
-    engine = CampaignEngine(
-        runner=runner,
-        policy=policy,
-        journal_path=journal_path,
-        cache=_open_cache(cache_dir),
-    )
-    return engine.run(configs).results
-
-
-def _open_cache(cache_dir: str | None):
-    if cache_dir is None:
-        return None
-    from repro import __version__
-    from repro.experiments.cache import ResultCache
-
-    return ResultCache(directory=cache_dir, code_version=__version__)
-
-
-@dataclass(frozen=True)
-class DigestedRunner:
-    """A picklable runner wrapper that ships digests, not full results.
-
-    Wraps any module-level trial runner so each pool worker folds its
-    trial's latency samples into :func:`repro.obs.digest.digest_result`
-    digests and returns only their serialised form -- O(1) memory per
-    worker and O(bins) bytes over the pipe, independent of trial size.
-    A ``None`` result from the wrapped runner stays ``None``.
-    """
-
-    runner: object = run_simulation
-
-    def __call__(self, config: SimulationConfig) -> dict | None:
-        from repro.obs.digest import digest_result
-
-        result = self.runner(config)
-        if result is None:
-            return None
-        return {
-            name: digest.to_dict() for name, digest in digest_result(result).items()
-        }
-
-
-def run_many_digested(
-    configs: list[SimulationConfig],
-    runner=run_simulation,
-    policy=None,
-    journal_path: str | None = None,
-    cache_dir: str | None = None,
-) -> dict:
-    """Run many trials, returning merged campaign telemetry digests.
-
-    Fans out like :func:`run_many` but each worker returns only its
-    trial's :class:`~repro.obs.digest.LatencyDigest` triple
-    (``degraded_read`` / ``sojourn`` / ``makespan``); the digests are
-    merged here **in trial order** -- the canonical order that makes
-    serial and process-pool aggregation bit-identical.  Digest payloads
-    are plain JSON, so these runs can always be journaled and cached.
-    """
-    from repro.obs.digest import LatencyDigest
-
-    merged: dict[str, LatencyDigest] = {}
-    for row in run_many(
-        configs,
-        runner=DigestedRunner(runner),
-        policy=policy,
-        journal_path=journal_path,
-        cache_dir=cache_dir,
-    ):
-        if row is None:
-            continue
-        for name, payload in row.items():
-            digest = LatencyDigest.from_dict(payload)
-            if name in merged:
-                merged[name].merge(digest)
-            else:
-                merged[name] = digest
-    return merged
+    return CampaignEngine(runner=runner, policy=policy).run(configs).results
 
 
 def run_failure_and_normal(

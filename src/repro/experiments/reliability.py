@@ -34,10 +34,10 @@ again); this first-order approximation keeps the year-scale loop cheap
 while Phase B retains full re-homing fidelity inside its windows.
 
 Everything is deterministic for a campaign seed: model and arrival draws
-come from named RNG substreams, window trials fan out over
-:func:`repro.experiments.common.run_many` (serial and parallel runs are
-bit-identical), and the report is a canonically ordered JSON document
-(schema tag ``repro.reliability-campaign/v1``).  Window workers stream
+come from named RNG substreams, window trials run through the campaign
+grid driver :func:`repro.experiments.campaign.run_grid` (serial and
+parallel runs are bit-identical), and the report is a canonically
+ordered JSON document (schema tag ``repro.reliability-campaign/v1``).  Window workers stream
 their latency samples into mergeable :class:`repro.obs.digest.LatencyDigest`
 histograms -- O(1) memory per worker, merged here in canonical window
 order -- so campaign telemetry scales to arbitrarily long windows, and
@@ -48,16 +48,20 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import json
-import math
-import os
 from collections import deque
 from dataclasses import dataclass, field
 
 from repro.cluster.failures import FailurePattern
 from repro.cluster.network import mbps
 from repro.cluster.topology import ClusterTopology
-from repro.faults.errors import JobFailedError
+from repro.experiments.cache import open_cache
+from repro.experiments.campaign import (
+    CampaignPolicy,
+    GridRow,
+    render_latency,
+    report_to_json,  # noqa: F401 -- the campaign report's canonical writer
+    run_grid,
+)
 from repro.faults.models import (
     DAY,
     HOUR,
@@ -74,9 +78,7 @@ from repro.faults.schedule import (
     RecoverEvent,
 )
 from repro.mapreduce.config import JobConfig, SimulationConfig
-from repro.mapreduce.metrics import SimulationResult
-from repro.mapreduce.simulation import build_topology, run_simulation
-from repro.obs.digest import LatencyDigest, digest_result
+from repro.mapreduce.simulation import build_topology, check_mode
 from repro.mapreduce.workload import ArrivalProcess, PoissonArrivals, arrivals_from_dict
 from repro.sim.rng import RngStreams
 from repro.storage.block import BlockId
@@ -383,56 +385,6 @@ def _replay_availability(
 # -- Phase B: windowed full-fidelity trials -----------------------------------
 
 
-def _window_runner(config: SimulationConfig) -> SimulationResult | None:
-    """Run one window trial, converting typed refusals into data.
-
-    Module-level so :func:`repro.experiments.common.run_many` can pickle it.
-    A window where churn makes data unavailable (or exhausts retry budgets)
-    is a legitimate campaign observation, not a crash: the partial result is
-    returned (``None`` when the trial refused at build time because a stripe
-    was already unrecoverable).  Invariant violations still propagate.
-    """
-    try:
-        return run_simulation(config)
-    except JobFailedError as error:  # includes DataUnavailableError
-        return error.result
-
-
-def _window_telemetry(config: SimulationConfig) -> dict | None:
-    """Run one window trial and fold it into O(1)-memory telemetry.
-
-    Each pool worker keeps only the mergeable latency digests
-    (:func:`repro.obs.digest.digest_result`), job counters, and the
-    window's sojourn-vs-submit slope -- never the full task trace -- so a
-    campaign's memory and inter-process traffic stay constant per window
-    regardless of how many jobs and tasks a window runs.  ``None`` means
-    the trial refused at build time (an unrecoverable stripe), a data-loss
-    observation.
-    """
-    result = _window_runner(config)
-    if result is None:
-        return None
-    submitted = completed = failed = 0
-    points: list[tuple[float, float]] = []
-    for job in result.jobs.values():
-        submitted += 1
-        if job.failed or math.isnan(job.finish_time):
-            failed += 1
-            continue
-        completed += 1
-        points.append((job.submit_time, job.makespan))
-    return {
-        "data_loss": any(
-            job.failure_kind == "data-unavailable" for job in result.jobs.values()
-        ),
-        "jobs": {"submitted": submitted, "completed": completed, "failed": failed},
-        "slope": _fit_slope(points),
-        "digests": {
-            name: digest.to_dict() for name, digest in digest_result(result).items()
-        },
-    }
-
-
 def _window_starts(
     schedule: FailureSchedule,
     topology: ClusterTopology,
@@ -486,72 +438,6 @@ def _window_config(
         # nodes; blacklisting every struggling node would empty the cluster.
         blacklist_threshold=None,
     )
-
-
-def _fit_slope(points: list[tuple[float, float]]) -> float | None:
-    """Least-squares slope of y over x; None when underdetermined."""
-    if len(points) < 2:
-        return None
-    mean_x = sum(x for x, _ in points) / len(points)
-    mean_y = sum(y for _, y in points) / len(points)
-    var = sum((x - mean_x) ** 2 for x, _ in points)
-    if var == 0.0:
-        return None
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in points)
-    return cov / var
-
-
-def _summarize_policy(rows: list[dict | None]) -> dict:
-    """Aggregate one policy's window telemetry into the report entry.
-
-    Digests merge **in window order** -- the trial order ``run_many``
-    returns -- which is the canonical order that keeps serial and
-    process-pool campaigns bit-identical (float ``total`` sums are
-    order-dependent).  The merged digests ride along in the policy row's
-    ``telemetry`` block so reports stay mergeable downstream
-    (``repro obs report`` / cross-campaign aggregation).
-    """
-    degraded = LatencyDigest()
-    sojourn = LatencyDigest()
-    makespan = LatencyDigest()
-    submitted = completed = failed = 0
-    slopes: list[float] = []
-    loss_windows = 0
-    for row in rows:
-        if row is None:
-            loss_windows += 1
-            continue
-        if row["data_loss"]:
-            loss_windows += 1
-        jobs = row["jobs"]
-        submitted += jobs["submitted"]
-        completed += jobs["completed"]
-        failed += jobs["failed"]
-        digests = row["digests"]
-        degraded.merge(LatencyDigest.from_dict(digests["degraded_read"]))
-        sojourn.merge(LatencyDigest.from_dict(digests["sojourn"]))
-        makespan.merge(LatencyDigest.from_dict(digests["makespan"]))
-        if row["slope"] is not None:
-            slopes.append(row["slope"])
-    mean_slope = sum(slopes) / len(slopes) if slopes else None
-    if mean_slope is None:
-        stability = "no-data"
-    elif mean_slope > SATURATION_SLOPE:
-        stability = "saturated"
-    else:
-        stability = "stable"
-    return {
-        "degraded_read_seconds": degraded.percentiles(),
-        "jobs": {"submitted": submitted, "completed": completed, "failed": failed},
-        "sojourn": {"mean": sojourn.mean, "slope": mean_slope},
-        "stability": stability,
-        "data_loss_windows": loss_windows,
-        "telemetry": {
-            "degraded_read": degraded.to_dict(),
-            "sojourn": sojourn.to_dict(),
-            "makespan": makespan.to_dict(),
-        },
-    }
 
 
 # -- the campaign driver ------------------------------------------------------
@@ -691,30 +577,16 @@ def run_campaign(
             grid.append(_window_config(config, window, jobs, policy, index))
             keys.append((index, policy))
 
-    from repro.experiments.common import run_many
-
-    previous = os.environ.get("REPRO_CHECK")
-    if check:
-        os.environ["REPRO_CHECK"] = "1"
-    try:
-        results = run_many(
+    with check_mode(check):
+        rows, _outcome = run_grid(
             grid,
-            runner=_window_telemetry,
+            keys,
+            config.policies,
+            1,
+            policy=CampaignPolicy(),
             journal_path=journal_path,
-            cache_dir=cache_dir,
+            cache=open_cache(cache_dir),
         )
-    finally:
-        if check:
-            if previous is None:
-                os.environ.pop("REPRO_CHECK", None)
-            else:
-                os.environ["REPRO_CHECK"] = previous
-
-    by_policy: dict[str, list[dict | None]] = {
-        policy: [] for policy in config.policies
-    }
-    for (_index, policy), result in zip(keys, results):
-        by_policy[policy].append(result)
 
     return {
         "schema": REPORT_SCHEMA,
@@ -722,16 +594,41 @@ def run_campaign(
         "checked": check,
         "availability": availability,
         "windows": windows,
-        "policies": {
-            policy: _summarize_policy(by_policy[policy])
-            for policy in config.policies
-        },
+        "policies": {policy: _policy_row(row) for policy, row in rows.items()},
     }
 
 
-def report_to_json(report: dict) -> str:
-    """Canonical JSON for a campaign report (bit-identical across runs)."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _policy_row(row: GridRow) -> dict:
+    """A policy's report entry: shared digests plus the saturation verdict.
+
+    A window is a data-loss window when its trial refused at build time
+    (an unrecoverable stripe) or met unavailable data mid-run; the policy
+    is ``saturated`` when its windows' mean sojourn slope exceeds
+    :data:`SATURATION_SLOPE`.
+    """
+    slopes = [
+        payload["slope"]
+        for _key, payload in row.payloads
+        if payload["slope"] is not None
+    ]
+    mean_slope = sum(slopes) / len(slopes) if slopes else None
+    if mean_slope is None:
+        stability = "no-data"
+    elif mean_slope > SATURATION_SLOPE:
+        stability = "saturated"
+    else:
+        stability = "stable"
+    common = row.to_dict()
+    return {
+        "degraded_read_seconds": common["degraded_read_seconds"],
+        "jobs": common["jobs"],
+        "sojourn": {"mean": row.digests["sojourn"].mean, "slope": mean_slope},
+        "stability": stability,
+        "data_loss_windows": sum(
+            payload["data_loss"] for _key, payload in row.payloads
+        ),
+        "telemetry": common["telemetry"],
+    }
 
 
 def render_report(report: dict) -> str:
@@ -771,18 +668,10 @@ def render_report(report: dict) -> str:
         " at full MapReduce fidelity"
     )
     for policy, row in report["policies"].items():
-        latency = row["degraded_read_seconds"]
-        if latency["count"]:
-            tail = (
-                f"degraded reads n={latency['count']}"
-                f" p50={latency['p50']:.2f}s p95={latency['p95']:.2f}s"
-                f" p99={latency['p99']:.2f}s"
-            )
-        else:
-            tail = "degraded reads: none observed"
         jobs = row["jobs"]
         lines.append(
-            f"  {policy:>3}: {tail}; jobs {jobs['completed']}/{jobs['submitted']}"
+            f"  {policy:>3}: {render_latency(row['degraded_read_seconds'])};"
+            f" jobs {jobs['completed']}/{jobs['submitted']}"
             f" completed; {row['stability']}"
             + (
                 f" (slope {row['sojourn']['slope']:.3f})"

@@ -12,27 +12,29 @@ an HTML dashboard (``repro obs report``).
 Determinism contract: the trial grid is in canonical order
 (scenario-major, then seed, then policy) and digests merge in grid order,
 so the ranked report is bit-identical across reruns and across
-serial-vs-parallel execution -- the same property the campaign layer
-guarantees, inherited wholesale.
+serial-vs-parallel execution -- inherited wholesale from the grid driver
+:func:`~repro.experiments.campaign.run_grid` that sweeps and reliability
+campaigns share.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, replace
 
 from repro.core.scheduler import registered_schedulers
 from repro.experiments.cache import ResultCache
 from repro.experiments.campaign import (
-    CampaignEngine,
     CampaignOutcome,
     CampaignPolicy,
+    outcome_blocks,
+    render_failures,
+    report_to_json,  # noqa: F401 -- the tournament's canonical writer
+    run_grid,
     sweep_trial,
 )
 from repro.mapreduce.config import SimulationConfig
 from repro.mapreduce.serialization import config_to_dict
-from repro.obs.digest import LatencyDigest
 
 #: Schema tag of the ranked tournament report.
 TOURNAMENT_SCHEMA = "repro.tournament-report/v1"
@@ -155,74 +157,38 @@ def run_tournament(
     outcomes, so interrupted-and-resumed and serial-vs-parallel runs emit
     byte-identical JSON.
     """
-    if policy is None:
-        policy = CampaignPolicy(on_error="collect")
     configs, keys = spec.grid()
-    engine = CampaignEngine(
+    # ``sweep_trial`` is looked up here, in this module, on every call, so
+    # a wrapper patched onto ``tournament.sweep_trial`` is the one that runs.
+    rows, outcome = run_grid(
+        configs,
+        keys,
+        spec.policies,
+        2,
         runner=sweep_trial,
         policy=policy,
         journal_path=journal_path,
         cache=cache,
         progress=progress,
     )
-    outcome = engine.run(configs)
-
-    rows: dict[str, dict] = {}
-    for name in spec.policies:
-        merged = {
-            "degraded_read": LatencyDigest(),
-            "sojourn": LatencyDigest(),
-            "makespan": LatencyDigest(),
-        }
-        trials = done = refused = 0
-        jobs = {"submitted": 0, "completed": 0, "failed": 0}
-        scenarios_done: dict[str, int] = {
-            scenario_name: 0 for scenario_name, _ in spec.scenarios
-        }
-        # Merge in grid order -- the canonical order shared with the
-        # campaign layer that keeps every execution mode bit-identical.
-        for (scenario_name, _seed, key_policy), payload in zip(keys, outcome.results):
-            if key_policy != name:
-                continue
-            trials += 1
-            if payload is None:
-                continue
-            done += 1
-            if payload["refused"]:
-                refused += 1
-                continue
-            scenarios_done[scenario_name] += 1
-            for counter in jobs:
-                jobs[counter] += payload["jobs"][counter]
-            for digest_name, digest in merged.items():
-                digest.merge(LatencyDigest.from_dict(payload["digests"][digest_name]))
-        rows[name] = {
-            "trials": trials,
-            "done": done,
-            "refused": refused,
-            "jobs": jobs,
+    policies: dict[str, dict] = {}
+    for name, row in rows.items():
+        scenarios_done = {scenario_name: 0 for scenario_name, _ in spec.scenarios}
+        for (scenario_name, _seed, _policy), payload in row.payloads:
+            if not payload["refused"]:
+                scenarios_done[scenario_name] += 1
+        policies[name] = {
+            **row.to_dict(),
             "scenarios": scenarios_done,
-            "makespan_mean_s": merged["makespan"].mean,
-            "makespan_seconds": merged["makespan"].percentiles(),
-            "degraded_read_seconds": merged["degraded_read"].percentiles(),
-            "telemetry": {
-                digest_name: digest.to_dict()
-                for digest_name, digest in merged.items()
-            },
+            "makespan_mean_s": row.digests["makespan"].mean,
         }
 
     report = {
         "schema": TOURNAMENT_SCHEMA,
         "tournament": spec.to_dict(),
-        "accounting": {
-            "submitted": outcome.counters.submitted,
-            "done": outcome.counters.done,
-            "failed": outcome.counters.failed,
-            "quarantined": outcome.counters.quarantined,
-        },
-        "failures": [failure.to_dict() for failure in outcome.failures],
-        "policies": rows,
-        "leaderboard": _rank(rows),
+        **outcome_blocks(outcome),
+        "policies": policies,
+        "leaderboard": _rank(policies),
     }
     return report, outcome
 
@@ -263,11 +229,6 @@ def _rank(rows: dict[str, dict]) -> list[dict]:
     return entries
 
 
-def report_to_json(report: dict) -> str:
-    """Canonical JSON for a tournament report (bit-identical across runs)."""
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
 def render_leaderboard(report: dict) -> str:
     """Human-readable ranked leaderboard (the CLI's default output)."""
     accounting = report["accounting"]
@@ -294,9 +255,4 @@ def render_leaderboard(report: dict) -> str:
             f" {_fmt(entry['degraded_p99_s'], '{:.2f}s'):>13}"
             f" {entry['jobs_completed']:>9,}"
         )
-    for failure in report["failures"]:
-        lines.append(
-            f"  FAILED trial {failure['index']} [{failure['kind']}] "
-            f"after {failure['attempts']} attempt(s): {failure['message']}"
-        )
-    return "\n".join(lines)
+    return "\n".join(lines + render_failures(report))

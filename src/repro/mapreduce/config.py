@@ -9,6 +9,7 @@ blocks, a (20, 15) code, 1440 blocks, map times ~ N(20, 1), reduce times
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.cluster.failures import FailurePattern
@@ -146,6 +147,20 @@ class SimulationConfig:
             )
         if self.num_nodes <= 1:
             raise ValueError("need at least two nodes")
+        if self.num_racks < 1:
+            raise ValueError(f"need at least one rack, got {self.num_racks}")
+        if self.map_slots < 1:
+            raise ValueError(
+                f"need at least one map slot per node, got {self.map_slots}"
+            )
+        if not (math.isfinite(self.block_size) and self.block_size > 0):
+            raise ValueError(
+                f"block size must be finite and positive, got {self.block_size}"
+            )
+        if not (math.isfinite(self.rack_bandwidth) and self.rack_bandwidth > 0):
+            raise ValueError(
+                f"rack bandwidth must be finite and positive, got {self.rack_bandwidth}"
+            )
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat interval must be positive")
         if not 0 <= self.reduce_slowstart <= 1:

@@ -62,6 +62,25 @@ def expected_degraded_read_time(config: SimulationConfig) -> float:
     return (R - 1) * k * config.block_size / (R * config.rack_bandwidth)
 
 
+@contextlib.contextmanager
+def check_mode(enabled: bool = True):
+    """Run every trial started inside the block under the sanitizer.
+
+    Sets ``REPRO_CHECK`` -- how check mode reaches process-pool workers --
+    and restores its previous value on exit; ``enabled=False`` is a no-op.
+    """
+    previous = os.environ.get("REPRO_CHECK")
+    if enabled:
+        os.environ["REPRO_CHECK"] = "1"
+    try:
+        yield
+    finally:
+        if enabled and previous is None:
+            os.environ.pop("REPRO_CHECK", None)
+        elif enabled:
+            os.environ["REPRO_CHECK"] = previous
+
+
 def run_simulation(
     config: SimulationConfig, observer=None, check: bool | None = None
 ) -> SimulationResult:

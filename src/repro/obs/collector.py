@@ -120,8 +120,9 @@ class ObservabilityCollector:
     # -- lifecycle -----------------------------------------------------------
 
     def finalize(self, now: float) -> None:
-        """Close the trial: fix the report window's right edge."""
+        """Close the trial: fix the report window's right edge, close the bus."""
         self.end_time = now
+        self.bus.close()
 
     # -- reporting -----------------------------------------------------------
 

@@ -1,12 +1,13 @@
 """Deterministic, mergeable percentile digests for campaign telemetry.
 
-Campaigns (:func:`repro.experiments.common.run_many` sweeps, the
-reliability driver) produce thousands of latency samples -- degraded-read
-times, job sojourns, makespans -- whose tails (p95/p99) the MDS-queue and
-latency-optimization analyses in PAPERS.md care about.  Holding every
-sample in memory defeats process-pool fan-out, so each worker folds its
-trial's samples into a :class:`LatencyDigest`: a fixed-bin, log-bucketed
-histogram with **exact merge semantics**.
+Campaigns (sweeps, tournaments and reliability windows, all run by
+:func:`repro.experiments.campaign.run_grid`) produce thousands of latency
+samples -- degraded-read times, job sojourns, makespans -- whose tails
+(p95/p99) the MDS-queue and latency-optimization analyses in PAPERS.md
+care about.  Holding every sample in memory defeats process-pool
+fan-out, so each worker folds its trial's samples into a
+:class:`LatencyDigest`: a fixed-bin, log-bucketed histogram with
+**exact merge semantics**.
 
 Design constraints, enforced by construction:
 
@@ -17,8 +18,8 @@ Design constraints, enforced by construction:
 * **Deterministic merge.**  Merging adds integer bin counts (exact and
   order-independent) and combines ``total``/``min``/``max``.  Float
   ``total`` addition is *order-dependent*, so aggregation contracts to a
-  canonical order: fold per-trial digests **in trial order** (the order
-  ``run_many`` returns results).  Serial and process-pool campaigns then
+  canonical order: fold per-trial digests **in grid order** (the order
+  the trial grid lists them).  Serial and process-pool campaigns then
   produce bit-identical digests, which
   ``tests/integration/test_obs_analysis.py`` asserts.
 * **O(1) memory.**  A digest is a sparse ``{bin: count}`` dict bounded by

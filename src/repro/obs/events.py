@@ -100,6 +100,15 @@ class EventBus:
         """Register ``handler`` for ``kind`` (or :data:`WILDCARD`)."""
         self._subscribers.setdefault(kind, []).append(handler)
 
+    def close(self) -> None:
+        """Drop every subscriber once the trial is over.
+
+        Subscribers are usually bound methods of the objects that hold this
+        bus, so an open bus keeps a finished trial's whole observed graph in
+        a reference cycle that only the cycle collector can free.
+        """
+        self._subscribers.clear()
+
     def emit(self, kind: str, time: float, /, **fields) -> ObsEvent:
         """Publish one event; subscribers run synchronously, in order.
 

@@ -236,6 +236,22 @@ class Process:
         raise SimulationError(f"process {self.name!r} yielded unsupported {yielded!r}")
 
 
+class _CallbackShim:
+    """Quacks like a Process in an Event's waiter set: runs ``fn`` once."""
+
+    __slots__ = ("finished", "_fn")
+    _epoch = 0  # callbacks are one-shot; no staleness to track
+
+    def __init__(self, event: Event, fn: Callable[[Any], None]) -> None:
+        self.finished = event  # only `.fired` is consulted, never re-fired
+        self._fn = fn
+
+    def _step(self, kind: str, payload: Any) -> None:
+        if kind == "throw":
+            raise payload
+        self._fn(payload)
+
+
 class Simulator:
     """The event loop: a heap of timestamped tuple entries and a virtual clock.
 
@@ -371,17 +387,4 @@ class Simulator:
                 raise event._error
             self._push(self._now, lambda: fn(event._value))
             return
-
-        class _CallbackShim:
-            """Quacks like a Process for Event's waiter set."""
-
-            __slots__ = ()
-            _epoch = 0  # callbacks are one-shot; no staleness to track
-            finished = event  # only `.fired` is consulted, never re-fired
-
-            def _step(self, kind: str, payload: Any) -> None:
-                if kind == "throw":
-                    raise payload
-                fn(payload)
-
-        event._waiters[_CallbackShim()] = None  # type: ignore[index]
+        event._waiters[_CallbackShim(event, fn)] = None  # type: ignore[index]

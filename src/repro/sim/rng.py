@@ -23,7 +23,7 @@ class RngStreams:
     prefix:
         Label prefix prepended to every stream name.  User code never passes
         it directly; :meth:`spawn` builds prefixed children that share this
-        factory's caches, so ``rng.spawn("a").stream("b")`` *is*
+        factory's stream cache, so ``rng.spawn("a").stream("b")`` *is*
         ``rng.stream("a:b")``.
     """
 
@@ -56,8 +56,11 @@ class RngStreams:
         child = self._children.get(full)
         if child is None:
             child = RngStreams(self.master_seed, prefix=full)
+            # Only the stream cache is shared: a child caching its own
+            # children keeps factories a tree, so a finished trial's hundreds
+            # of stream states are freed by reference counting, not left to
+            # the cycle collector.
             child._streams = self._streams
-            child._children = self._children
             self._children[full] = child
         return child
 

@@ -26,7 +26,8 @@ import pytest
 from repro import cli
 from repro.cluster.network import MB, mbps
 from repro.ec.codec import CodeParams
-from repro.experiments.common import run_many, run_many_digested
+from repro.experiments.campaign import run_grid
+from repro.experiments.common import run_many
 from repro.faults.schedule import (
     CorruptEvent,
     FailEvent,
@@ -181,13 +182,21 @@ class TestEventLogRoundTrip:
         assert audit["assignments"] > 0
 
 
+def _grid_digests(configs: list[SimulationConfig]) -> dict:
+    """The campaign grid driver's merged digests over ``configs``."""
+    keys = [("EDF", config.seed) for config in configs]
+    rows, outcome = run_grid(configs, keys, ("EDF",), 0)
+    assert outcome.counters.done == len(configs)
+    return rows["EDF"].digests
+
+
 class TestDigestBitIdentity:
     def test_serial_and_pool_aggregation_are_bit_identical(self, monkeypatch):
         configs = _campaign_configs()
         monkeypatch.setenv("REPRO_WORKERS", "1")
-        serial = run_many_digested(configs)
+        serial = _grid_digests(configs)
         monkeypatch.setenv("REPRO_WORKERS", "4")
-        pooled = run_many_digested(configs)
+        pooled = _grid_digests(configs)
         assert set(serial) == {"degraded_read", "sojourn", "makespan"}
         for name in serial:
             assert serial[name].to_dict() == pooled[name].to_dict(), name
@@ -198,7 +207,7 @@ class TestDigestBitIdentity:
 
         configs = _campaign_configs()
         monkeypatch.setenv("REPRO_WORKERS", "1")
-        merged = run_many_digested(configs)
+        merged = _grid_digests(configs)
         reference: dict[str, LatencyDigest] = {}
         for result in run_many(configs):
             for name, digest in digest_result(result).items():

@@ -10,6 +10,7 @@ off -- while the collector still captures the full event stream.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 
 import pytest
@@ -136,3 +137,22 @@ class TestChromeTrace:
         # Strict JSON: Perfetto rejects NaN tokens.
         text = json.dumps(trace, allow_nan=False)
         assert "NaN" not in text
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["plain", "observed-checked"])
+def test_finished_trial_leaves_no_reference_cycles(observed):
+    # Campaigns run trials back to back: whatever only the cycle collector
+    # can free piles up until it runs and sets the campaign's peak memory.
+    # (A node failing mid-run still strands a few frames in cycles.)
+    config = SimulationConfig(
+        scheduler="EDF", seed=7, jobs=(JobConfig(num_blocks=96, num_reduce_tasks=8),)
+    )
+    kwargs = {"observer": ObservabilityCollector(), "check": True} if observed else {}
+    gc.collect()
+    gc.disable()
+    try:
+        run_simulation(config, **kwargs)
+        kwargs.clear()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -45,6 +45,10 @@ class TestSimulate:
         assert "runtime:" in out
         assert "degraded tasks:" in out
 
+    def test_unrunnable_config_exits_2(self, capsys):
+        assert main(["simulate", "--map-slots", "0", "--blocks", "48"]) == 2
+        assert "map slot" in capsys.readouterr().err
+
     def test_bad_code_argument(self, capsys):
         assert main(["simulate", "--code", "oops"]) == 2
 

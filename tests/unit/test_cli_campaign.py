@@ -2,11 +2,97 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
-from repro.cli import main
+import pytest
+
+from repro.cli import _build_parser, main
 
 QUICK = ["--schedulers", "LF", "--seeds", "1", "--blocks", "60", "--backoff", "0.0"]
+
+#: Every campaign subcommand's options as (dest, default, required).  The
+#: shared flags are declared once, in argparse parent parsers; this pins that
+#: no subcommand gains or loses a flag or changes a default through them.
+CAMPAIGN_OPTIONS = {
+    "campaign run": {
+        "--backoff": ("backoff", 0.5, False),
+        "--blocks": ("blocks", 1440, False),
+        "--cache-dir": ("cache_dir", None, False),
+        "--journal": ("journal_path", None, False),
+        "--nodes": ("nodes", 40, False),
+        "--report": ("report_path", None, False),
+        "--retries": ("retries", 2, False),
+        "--schedulers": ("schedulers", "LF,BDF,EDF", False),
+        "--seeds": ("seeds", 5, False),
+        "--spec": ("spec_path", None, False),
+        "--trial-timeout": ("trial_timeout", None, False),
+        "--workers": ("workers", None, False),
+    },
+    "campaign status": {
+        "--journal": ("journal_path", None, True),
+    },
+    "tournament": {
+        "--blocks": ("blocks", 1440, False),
+        "--cache-dir": ("cache_dir", None, False),
+        "--check": ("check", False, False),
+        "--code": ("code", "20,15", False),
+        "--corpus": ("corpus_dir", None, False),
+        "--html": ("html_path", None, False),
+        "--journal": ("journal_path", None, False),
+        "--json": ("json_path", None, False),
+        "--nodes": ("nodes", 40, False),
+        "--policies": ("policies", None, False),
+        "--racks": ("racks", 4, False),
+        "--retries": ("retries", 2, False),
+        "--seeds": ("seeds", 3, False),
+        "--trial-timeout": ("trial_timeout", None, False),
+        "--workers": ("workers", None, False),
+    },
+    "reliability": {
+        "--arrival-mean": ("arrival_mean", 300.0, False),
+        "--blocks": ("blocks", 60, False),
+        "--cache-dir": ("cache_dir", None, False),
+        "--check": ("check", False, False),
+        "--horizon-years": ("horizon_years", 1.0, False),
+        "--iterations": ("iterations", 3, False),
+        "--journal": ("journal_path", None, False),
+        "--json": ("json_path", None, False),
+        "--lse-mtbc-years": ("lse_mtbc_years", None, False),
+        "--model": ("model", "exponential", False),
+        "--mttf-days": ("mttf_days", 30.0, False),
+        "--mttr-hours": ("mttr_hours", 2.0, False),
+        "--seed": ("seed", 0, False),
+        "--weibull-shape": ("weibull_shape", 0.7, False),
+        "--window-duration": ("window_duration", 1800.0, False),
+        "--windows": ("windows", 3, False),
+    },
+}
+CAMPAIGN_OPTIONS["campaign resume"] = CAMPAIGN_OPTIONS["campaign run"]
+
+
+def _subparser(path: str) -> argparse.ArgumentParser:
+    parser = _build_parser()
+    for name in path.split():
+        action = next(
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        parser = action.choices[name]
+    return parser
+
+
+class TestCampaignFlags:
+    @pytest.mark.parametrize("path", sorted(CAMPAIGN_OPTIONS))
+    def test_option_snapshot(self, path):
+        options = {
+            option: (action.dest, action.default, action.required)
+            for action in _subparser(path)._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings
+        }
+        assert options == CAMPAIGN_OPTIONS[path]
 
 
 class TestCampaignRun:

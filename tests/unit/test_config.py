@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cluster.failures import FailurePattern
@@ -48,6 +50,28 @@ class TestSimulationConfig:
             SimulationConfig(num_nodes=1)
         with pytest.raises(ValueError):
             SimulationConfig(heartbeat_interval=0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("num_racks", 0, "rack"),
+            ("map_slots", 0, "map slot"),
+            ("block_size", 0.0, "block size"),
+            ("block_size", -1.0, "block size"),
+            ("block_size", math.nan, "block size"),
+            ("block_size", math.inf, "block size"),
+            ("rack_bandwidth", 0.0, "rack bandwidth"),
+            ("rack_bandwidth", -1.0, "rack bandwidth"),
+            ("rack_bandwidth", math.nan, "rack bandwidth"),
+            ("rack_bandwidth", math.inf, "rack bandwidth"),
+        ],
+    )
+    def test_unrunnable_values_rejected(self, field, value, message):
+        # Unchecked, each of these hangs the event loop or dies in a bare
+        # ZeroDivisionError deep inside topology or network construction.
+        base = {"num_nodes": 8, "num_racks": 4, "code": CodeParams(4, 3)}
+        with pytest.raises(ValueError, match=message):
+            SimulationConfig(**{**base, field: value})
 
     def test_speed_factor_count(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from repro.sim.engine import (
     Interrupt,
     SimulationError,
     Timeout,
+    _CallbackShim,
 )
 
 
@@ -148,6 +149,20 @@ class TestProcesses:
         sim.call_in(2.0, lambda: second.succeed("b"))
         sim.run()
         assert log == [(2.0, ["a", "b"])]
+
+    def test_callbacks_share_one_shim_class(self, sim):
+        # A trial registers thousands of callbacks; each must park an
+        # instance of one slotted class, not build a class of its own.
+        event = sim.event()
+        seen = []
+        sim._add_callback(event, seen.append)
+        sim._add_callback(event, seen.append)
+        first, second = event._waiters
+        assert type(first) is type(second) is _CallbackShim
+        assert not hasattr(first, "__dict__")
+        event.succeed("v")
+        sim.run()
+        assert seen == ["v", "v"]
 
     def test_all_of_empty(self, sim):
         log = []
