@@ -21,7 +21,10 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", ".."))
 
 from tests.integration.test_golden_equivalence import capture, golden_cases  # noqa: E402
-from tests.integration.test_policy_differential import capture_steal_trace  # noqa: E402
+from tests.integration.test_policy_differential import (  # noqa: E402
+    capture_policy_traces,
+    capture_steal_trace,
+)
 
 
 def _write(out_dir: str, name: str, payload: dict) -> str:
@@ -42,6 +45,9 @@ def main() -> None:
     trace = capture_steal_trace()
     path = _write(out_dir, "steal-decisions", trace)
     print(f"wrote {path} (decisions={len(trace['decisions'])})")
+    fingerprints = capture_policy_traces()
+    path = _write(out_dir, "policy-decisions", fingerprints)
+    print(f"wrote {path} (policies={len(fingerprints)})")
 
 
 if __name__ == "__main__":

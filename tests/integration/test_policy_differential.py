@@ -9,11 +9,13 @@ Three layers of cross-policy checks on pinned seeds:
    relative to LF, which is the whole reason locality-aware scheduling
    exists.  (If RANDOM ever matches LF here, the LF implementation has
    stopped preferring local tasks.)
-3. **Golden decision trace** -- STEAL's full ``sched.decision`` stream on
+3. **Golden decision traces** -- STEAL's full ``sched.decision`` stream on
    a small fixed-seed scenario matches the committed golden
-   (``tests/golden/steal-decisions.json``), the same regression idiom as
-   the trajectory goldens; ``tests/golden/regenerate.py`` rewrites it
-   after an intentional semantic change.
+   (``tests/golden/steal-decisions.json``), and every registered policy's
+   stream on a two-job variant of that scenario matches its decision
+   count and sha256 in ``tests/golden/policy-decisions.json``.  The same
+   regression idiom as the trajectory goldens; ``tests/golden/regenerate.py``
+   rewrites both after an intentional semantic change.
 
 Plus the tournament determinism contract: one spec run serial and
 parallel emits byte-identical report JSON.
@@ -22,11 +24,13 @@ parallel emits byte-identical report JSON.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 
 import pytest
 
+from repro.core.scheduler import registered_schedulers
 from repro.ec import CodeParams
 from repro.experiments.campaign import CampaignPolicy
 from repro.experiments.tournament import TournamentSpec, report_to_json, run_tournament
@@ -112,6 +116,65 @@ def test_steal_decision_trace_matches_golden():
         f"{len(golden['decisions'])} -- the decision stream moved"
     )
     assert actual["decisions"] == golden["decisions"]
+
+
+# -- per-policy decision-trace golden -------------------------------------------
+
+
+def policy_trace_config(scheduler: str) -> SimulationConfig:
+    """The two-job scenario behind ``tests/golden/policy-decisions.json``.
+
+    Two jobs of different sizes pending together pin the job-order walk
+    (a heartbeat that drains one job falls through to the next) and
+    CPATH's reordering by remaining work.
+    """
+    return SimulationConfig(
+        scheduler=scheduler, seed=5, num_nodes=12, num_racks=3,
+        code=CodeParams(6, 4),
+        jobs=(
+            JobConfig(num_blocks=48, num_reduce_tasks=4),
+            JobConfig(num_blocks=64, num_reduce_tasks=4),
+        ),
+    )
+
+
+def capture_policy_trace(scheduler: str) -> dict:
+    """Decision count and sha256 of one policy's canonical trace JSON."""
+    decisions = traced_decisions(policy_trace_config(scheduler))
+    canonical = json.dumps(decisions, sort_keys=True, separators=(",", ":"))
+    return {
+        "decisions": len(decisions),
+        "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+    }
+
+
+def capture_policy_traces() -> dict:
+    """The golden payload: one fingerprint per registered policy."""
+    return {name: capture_policy_trace(name) for name in registered_schedulers()}
+
+
+@functools.lru_cache(maxsize=None)
+def policy_golden() -> dict:
+    path = os.path.join(GOLDEN_DIR, "policy-decisions.json")
+    assert os.path.exists(path), (
+        f"golden file {path} missing -- run tests/golden/regenerate.py"
+    )
+    with open(path) as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("scheduler", registered_schedulers())
+def test_policy_decision_trace_matches_golden(scheduler):
+    golden = policy_golden()
+    assert scheduler in golden, f"no golden trace for {scheduler}"
+    actual = capture_policy_trace(scheduler)
+    assert actual["decisions"] == golden[scheduler]["decisions"], (
+        f"{scheduler} made {actual['decisions']} decisions, golden recorded "
+        f"{golden[scheduler]['decisions']} -- the decision stream moved"
+    )
+    assert actual["sha256"] == golden[scheduler]["sha256"], (
+        f"{scheduler}'s decision stream changed content at the same length"
+    )
 
 
 # -- tournament determinism ---------------------------------------------------
