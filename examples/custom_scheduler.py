@@ -2,8 +2,9 @@
 """Plug a custom scheduling policy into the simulator.
 
 The scheduler interface (:class:`repro.core.scheduler.Scheduler`) is the
-extension point of this library: subclass it, implement ``assign_maps``,
-and the simulator runs your policy against the paper's workloads.  Here we
+extension point of this library: subclass it, implement ``pick_map`` --
+which task one free map slot should run -- and the base class walks the
+jobs, fills the heartbeat's slots and traces every decision.  Here we
 implement the naive strawman the paper argues against implicitly --
 *eager-degraded* scheduling, which launches ALL degraded tasks first --
 and show why pacing matters: eager launching recreates the very network
@@ -13,7 +14,7 @@ Run:  python examples/custom_scheduler.py
 """
 
 from repro import FailurePattern, SimulationConfig
-from repro.core.scheduler import Scheduler, register_scheduler
+from repro.core.scheduler import MapPick, Scheduler, register_scheduler
 from repro.mapreduce.simulation import run_simulation
 
 
@@ -28,23 +29,14 @@ class EagerDegradedScheduler(Scheduler):
 
     name = "EAGER-DEMO"
 
-    def assign_maps(self, slave_id, free_map_slots, jobs, now):
+    def pick_map(self, job, slave_id, now):
         del now
-        assignments = []
-        for job in jobs:
-            while free_map_slots > 0:
-                assignment = (
-                    self._try_degraded(job, slave_id)
-                    or self._try_local(job, slave_id)
-                    or self._try_remote(job, slave_id)
-                )
-                if assignment is None:
-                    break
-                assignments.append(assignment)
-                free_map_slots -= 1
-            if free_map_slots == 0:
-                break
-        return assignments
+        assignment = (
+            self._try_degraded(job, slave_id)
+            or self._try_local(job, slave_id)
+            or self._try_remote(job, slave_id)
+        )
+        return None if assignment is None else MapPick(assignment, "eager-demo")
 
 
 def main() -> None:

@@ -962,13 +962,23 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
     return 1 if report["failures"] else 0
 
 
+#: What loading a user's JSON input file raises on unreadable or bad
+#: contents: a missing file, bad JSON or an invalid value (ValueError), or
+#: a misspelt or misplaced field (TypeError from the constructor).
+_BAD_FILE_ERRORS = (OSError, ValueError, TypeError)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.mapreduce.config import JobConfig, SimulationConfig
 
     if args.config_path:
         from repro.mapreduce.serialization import load_config
 
-        config = load_config(args.config_path)
+        try:
+            config = load_config(args.config_path)
+        except _BAD_FILE_ERRORS as error:
+            print(f"bad --config file {args.config_path!r}: {error}", file=sys.stderr)
+            return 2
         return _report_simulation(args, config)
     from repro.core.scheduler import POLICIES
 
@@ -987,7 +997,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.failure_trace:
         from repro.faults.schedule import FailureSchedule
 
-        schedule = FailureSchedule.load(args.failure_trace)
+        try:
+            schedule = FailureSchedule.load(args.failure_trace)
+        except _BAD_FILE_ERRORS as error:
+            print(
+                f"bad --failure-trace file {args.failure_trace!r}: {error}",
+                file=sys.stderr,
+            )
+            return 2
     repair = None
     if args.repair_bandwidth_mbps is not None:
         from repro.storage.repair_driver import RepairConfig

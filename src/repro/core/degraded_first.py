@@ -8,13 +8,14 @@ launched-degraded fraction is no more than the launched-map fraction,
 which spreads degraded launches evenly through the map phase.  At most one
 degraded task is assigned per heartbeat (Line 4 of Algorithm 2) so that a
 slave never runs two simultaneous degraded reads.  The remaining free slots
-are filled with local then remote tasks exactly as in Algorithm 1 -- note
-that the fallback deliberately excludes degraded tasks.
+are filled with local then remote tasks by the shared fill loop, exactly as
+in Algorithm 1 -- note that the fallback deliberately excludes degraded
+tasks.
 """
 
 from __future__ import annotations
 
-from repro.core.scheduler import Scheduler
+from repro.core.scheduler import MapPick, Scheduler
 from repro.core.tasks import JobTaskState
 from repro.mapreduce.job import MapAssignment
 
@@ -48,66 +49,62 @@ class BasicDegradedFirstScheduler(Scheduler):
         jobs: list[JobTaskState],
         now: float,
     ) -> list[MapAssignment]:
-        tracing = self.bus is not None
         assignments: list[MapAssignment] = []
         degraded_task_assigned = False
         for job in jobs:
-            if (
-                not degraded_task_assigned
-                and free_map_slots > 0
-                and job.has_unassigned_degraded()
-            ):
-                # Pacing state is captured before any pop mutates m/m_d.
-                pacing = self.pacing_fields(job) if tracing else None
-                if not (pacing_allows_degraded(job) or _FORCE_PACING_BREAK):
-                    if tracing:
-                        self.trace_decision(
-                            now, slave_id, job_id=job.job_id,
-                            action="skip-degraded", reason="pacing", **pacing,
-                        )
-                elif not self._degraded_guards(job, slave_id, now):
-                    if tracing:
-                        guards = self.last_guard_trace or {}
-                        reason = guards.get("rejected_by", "guard")
-                        self.trace_decision(
-                            now, slave_id, job_id=job.job_id,
-                            action="skip-degraded", reason=f"{reason}-guard",
-                            **pacing, **guards,
-                        )
-                else:
-                    assignment = self._try_degraded(job, slave_id)
-                    if assignment is not None:
-                        assignments.append(assignment)
-                        free_map_slots -= 1
-                        degraded_task_assigned = True
-                        self._on_degraded_assigned(slave_id, now)
-                        if tracing:
-                            guards = self.last_guard_trace or {}
-                            self.trace_decision(
-                                now, slave_id, job_id=job.job_id,
-                                action="assign", reason="degraded-first",
-                                category=assignment.category.value,
-                                block=str(assignment.block),
-                                **pacing, **guards,
-                            )
-            while free_map_slots > 0:
-                pacing = self.pacing_fields(job) if tracing else None
-                assignment = self._try_local(job, slave_id) or self._try_remote(job, slave_id)
-                if assignment is None:
-                    break
-                assignments.append(assignment)
-                free_map_slots -= 1
-                if tracing:
-                    self.trace_decision(
-                        now, slave_id, job_id=job.job_id,
-                        action="assign", reason="locality-fallback",
-                        category=assignment.category.value,
-                        block=str(assignment.block),
-                        **pacing,
-                    )
-            if free_map_slots == 0:
+            if free_map_slots <= 0:
                 break
+            if not degraded_task_assigned and job.has_unassigned_degraded():
+                assignment = self._degraded_step(job, slave_id, now)
+                if assignment is not None:
+                    assignments.append(assignment)
+                    free_map_slots -= 1
+                    degraded_task_assigned = True
+            free_map_slots = self._fill_from_job(job, slave_id, free_map_slots, now, assignments)
         return assignments
+
+    def pick_map(self, job: JobTaskState, slave_id: int, now: float) -> MapPick | None:
+        """The locality fallback: local, then remote -- never degraded."""
+        assignment = self._try_local(job, slave_id) or self._try_remote(job, slave_id)
+        return None if assignment is None else MapPick(assignment, "locality-fallback")
+
+    def _degraded_step(
+        self, job: JobTaskState, slave_id: int, now: float
+    ) -> MapAssignment | None:
+        """Launch one degraded task of ``job`` if pacing and the guards allow."""
+        tracing = self.bus is not None
+        # Pacing state is captured before any pop mutates m/m_d.
+        pacing = self.pacing_fields(job) if tracing else None
+        if not (pacing_allows_degraded(job) or _FORCE_PACING_BREAK):
+            if tracing:
+                self.trace_decision(
+                    now, slave_id, job_id=job.job_id,
+                    action="skip-degraded", reason="pacing", **pacing,
+                )
+            return None
+        if not self._degraded_guards(job, slave_id, now):
+            if tracing:
+                guards = self.last_guard_trace or {}
+                reason = guards.get("rejected_by", "guard")
+                self.trace_decision(
+                    now, slave_id, job_id=job.job_id,
+                    action="skip-degraded", reason=f"{reason}-guard",
+                    **pacing, **guards,
+                )
+            return None
+        assignment = self._try_degraded(job, slave_id)
+        if assignment is not None:
+            self._on_degraded_assigned(slave_id, now)
+            if tracing:
+                guards = self.last_guard_trace or {}
+                self.trace_decision(
+                    now, slave_id, job_id=job.job_id,
+                    action="assign", reason="degraded-first",
+                    category=assignment.category.value,
+                    block=str(assignment.block),
+                    **pacing, **guards,
+                )
+        return assignment
 
     # -- hooks overridden by the enhanced scheduler ---------------------------
 

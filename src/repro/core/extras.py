@@ -12,15 +12,21 @@ benchmark suite can measure what each one buys:
   locality preservation (no rack awareness).
 * :class:`RackGuardOnlyScheduler` (``EDF-RACK``) -- EDF with only rack
   awareness (no locality preservation).
+* :class:`DelayScheduler` (``LF-DELAY``) -- locality-first with delay
+  scheduling.
+
+EAGER, BDF-UNCAPPED and LF-DELAY are pick-only policies: each supplies
+its try-order as ``pick_map`` and the base class's fill loop walks the
+jobs and writes the decision trace.  The two single-guard variants
+inherit EDF's assignment path unchanged.
 """
 
 from __future__ import annotations
 
 from repro.core.degraded_first import pacing_allows_degraded
 from repro.core.enhanced import EnhancedDegradedFirstScheduler
-from repro.core.scheduler import Scheduler
+from repro.core.scheduler import MapPick, Scheduler
 from repro.core.tasks import JobTaskState
-from repro.mapreduce.job import MapAssignment
 
 
 class EagerDegradedScheduler(Scheduler):
@@ -33,31 +39,15 @@ class EagerDegradedScheduler(Scheduler):
     """
 
     name = "EAGER"
+    trace_pacing = False
 
-    def assign_maps(self, slave_id, free_map_slots, jobs, now):
-        tracing = self.bus is not None
-        assignments: list[MapAssignment] = []
-        for job in jobs:
-            while free_map_slots > 0:
-                assignment = (
-                    self._try_degraded(job, slave_id)
-                    or self._try_local(job, slave_id)
-                    or self._try_remote(job, slave_id)
-                )
-                if assignment is None:
-                    break
-                assignments.append(assignment)
-                free_map_slots -= 1
-                if tracing:
-                    self.trace_decision(
-                        now, slave_id, job_id=job.job_id,
-                        action="assign", reason="eager",
-                        category=assignment.category.value,
-                        block=str(assignment.block),
-                    )
-            if free_map_slots == 0:
-                break
-        return assignments
+    def pick_map(self, job: JobTaskState, slave_id: int, now: float) -> MapPick | None:
+        assignment = (
+            self._try_degraded(job, slave_id)
+            or self._try_local(job, slave_id)
+            or self._try_remote(job, slave_id)
+        )
+        return None if assignment is None else MapPick(assignment, "eager")
 
 
 class UncappedDegradedFirstScheduler(Scheduler):
@@ -71,35 +61,13 @@ class UncappedDegradedFirstScheduler(Scheduler):
 
     name = "BDF-UNCAPPED"
 
-    def assign_maps(self, slave_id, free_map_slots, jobs, now):
-        tracing = self.bus is not None
-        assignments: list[MapAssignment] = []
-        for job in jobs:
-            while free_map_slots > 0:
-                # Pacing state is captured before any pop mutates m/m_d.
-                pacing = self.pacing_fields(job) if tracing else {}
-                assignment = None
-                if job.has_unassigned_degraded() and pacing_allows_degraded(job):
-                    assignment = self._try_degraded(job, slave_id)
-                if assignment is None:
-                    assignment = self._try_local(job, slave_id) or self._try_remote(
-                        job, slave_id
-                    )
-                if assignment is None:
-                    break
-                assignments.append(assignment)
-                free_map_slots -= 1
-                if tracing:
-                    self.trace_decision(
-                        now, slave_id, job_id=job.job_id,
-                        action="assign", reason="uncapped",
-                        category=assignment.category.value,
-                        block=str(assignment.block),
-                        **pacing,
-                    )
-            if free_map_slots == 0:
-                break
-        return assignments
+    def pick_map(self, job: JobTaskState, slave_id: int, now: float) -> MapPick | None:
+        assignment = None
+        if job.has_unassigned_degraded() and pacing_allows_degraded(job):
+            assignment = self._try_degraded(job, slave_id)
+        if assignment is None:
+            assignment = self._try_local(job, slave_id) or self._try_remote(job, slave_id)
+        return None if assignment is None else MapPick(assignment, "uncapped")
 
 
 class _DisabledGuardTrace:
@@ -161,6 +129,8 @@ class DelayScheduler(Scheduler):
 
     name = "LF-DELAY"
 
+    trace_pacing = False
+
     #: Seconds of skipped heartbeats a job tolerates before going remote.
     max_delay = 9.0
 
@@ -168,34 +138,15 @@ class DelayScheduler(Scheduler):
         super().__init__(context)
         self._first_skip_at: dict[int, float] = {}
 
-    def assign_maps(self, slave_id, free_map_slots, jobs, now):
-        tracing = self.bus is not None
-        assignments: list[MapAssignment] = []
-        for job in jobs:
-            while free_map_slots > 0:
-                assignment = self._try_local(job, slave_id)
-                delayed = assignment is None
-                if delayed and self._delay_expired(job, now):
-                    assignment = self._try_remote(job, slave_id) or self._try_degraded(
-                        job, slave_id
-                    )
-                if assignment is None:
-                    break
-                if assignment.category.is_local:
-                    self._first_skip_at.pop(job.job_id, None)
-                assignments.append(assignment)
-                free_map_slots -= 1
-                if tracing:
-                    self.trace_decision(
-                        now, slave_id, job_id=job.job_id,
-                        action="assign",
-                        reason="delay-expired" if delayed else "local",
-                        category=assignment.category.value,
-                        block=str(assignment.block),
-                    )
-            if free_map_slots == 0:
-                break
-        return assignments
+    def pick_map(self, job: JobTaskState, slave_id: int, now: float) -> MapPick | None:
+        assignment = self._try_local(job, slave_id)
+        if assignment is not None:
+            self._first_skip_at.pop(job.job_id, None)
+            return MapPick(assignment, "local")
+        if not self._delay_expired(job, now):
+            return None
+        assignment = self._try_remote(job, slave_id) or self._try_degraded(job, slave_id)
+        return None if assignment is None else MapPick(assignment, "delay-expired")
 
     def _delay_expired(self, job: JobTaskState, now: float) -> bool:
         if not job.has_unassigned_maps():

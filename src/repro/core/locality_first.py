@@ -9,9 +9,8 @@ paper shows causes end-of-phase network competition.
 
 from __future__ import annotations
 
-from repro.core.scheduler import Scheduler
+from repro.core.scheduler import MapPick, Scheduler
 from repro.core.tasks import JobTaskState
-from repro.mapreduce.job import MapAssignment
 
 
 class LocalityFirstScheduler(Scheduler):
@@ -19,38 +18,15 @@ class LocalityFirstScheduler(Scheduler):
 
     name = "LF"
 
-    def assign_maps(
-        self,
-        slave_id: int,
-        free_map_slots: int,
-        jobs: list[JobTaskState],
-        now: float,
-    ) -> list[MapAssignment]:
-        tracing = self.bus is not None
-        assignments: list[MapAssignment] = []
-        for job in jobs:
-            while free_map_slots > 0:
-                # Pacing state is captured before any pop mutates m/m_d; LF
-                # never *uses* it, but the decision trace records the ratio
-                # the paper's condition would have seen at this instant.
-                pacing = self.pacing_fields(job) if tracing else None
-                assignment = (
-                    self._try_local(job, slave_id)
-                    or self._try_remote(job, slave_id)
-                    or self._try_degraded(job, slave_id)
-                )
-                if assignment is None:
-                    break
-                assignments.append(assignment)
-                free_map_slots -= 1
-                if tracing:
-                    self.trace_decision(
-                        now, slave_id, job_id=job.job_id,
-                        action="assign", reason="lf-order",
-                        category=assignment.category.value,
-                        block=str(assignment.block),
-                        **pacing,
-                    )
-            if free_map_slots == 0:
-                break
-        return assignments
+    #: Decision-trace reason of every LF pick.  (LF never *uses* the
+    #: pacing state, but ``trace_pacing`` stays on: its records carry the
+    #: ratio the paper's condition would have seen at each pick.)
+    pick_reason = "lf-order"
+
+    def pick_map(self, job: JobTaskState, slave_id: int, now: float) -> MapPick | None:
+        assignment = (
+            self._try_local(job, slave_id)
+            or self._try_remote(job, slave_id)
+            or self._try_degraded(job, slave_id)
+        )
+        return None if assignment is None else MapPick(assignment, self.pick_reason)

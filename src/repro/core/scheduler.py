@@ -3,15 +3,18 @@
 Every scheduling decision in the paper happens inside the master's response
 to a slave heartbeat: the slave reports how many map and reduce slots it has
 free, and the scheduler hands back assignments.  The three algorithms differ
-only in how they fill *map* slots; reduce slots are filled identically
-(FIFO over jobs, subject to the slow-start rule), so that logic lives in the
-base class.
+only in the order in which each free *map* slot draws a local, remote or
+degraded task.  So the base class owns the fill loop -- walk jobs in order,
+one :meth:`Scheduler.pick_map` per free slot, one ``sched.decision`` record
+per pick -- and a policy supplies only its pick.  Reduce slots are filled
+identically (FIFO over jobs, subject to the slow-start rule), so that logic
+lives in the base class too.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.tasks import JobTaskState
@@ -115,8 +118,25 @@ class SchedulerContext:
         return {job.job_id: job.pending_degraded_count() for job in jobs}
 
 
-class Scheduler(ABC):
-    """Base class: reduce-slot filling plus the map-assignment hook.
+class MapPick(NamedTuple):
+    """One map task a policy drew for one free slot, with its trace reason."""
+
+    assignment: MapAssignment
+    #: The ``reason`` field of the pick's ``sched.decision`` record.
+    reason: str
+    #: Extra decision-record fields, written after ``block`` (None = none).
+    trace: dict | None = None
+
+
+class Scheduler:
+    """Base class: the map-slot fill loop, reduce-slot filling, tracing.
+
+    A policy implements :meth:`pick_map`; :meth:`assign_maps` walks the
+    jobs in order and asks for one pick per free slot.  Policies whose
+    heartbeat is not a job-order walk (RANDOM draws a job per slot, BDF
+    makes one paced degraded launch per heartbeat first) override
+    :meth:`assign_maps` instead, and may still hand slots to
+    :meth:`_fill_from_job`.
 
     Decision tracing: when :attr:`bus` is set (an
     :class:`~repro.obs.events.EventBus`, attached by ``run_simulation`` for
@@ -128,6 +148,10 @@ class Scheduler(ABC):
 
     #: Registry name, overridden by subclasses.
     name = "abstract"
+
+    #: Whether each pick's decision record carries the pacing state
+    #: (:meth:`pacing_fields`), snapshotted before the pick pops a task.
+    trace_pacing = True
 
     def __init__(self, context: SchedulerContext) -> None:
         self.context = context
@@ -150,7 +174,6 @@ class Scheduler(ABC):
         reduces = self._assign_reduces(slave_id, free_reduce_slots, jobs)
         return maps, reduces
 
-    @abstractmethod
     def assign_maps(
         self,
         slave_id: int,
@@ -158,7 +181,48 @@ class Scheduler(ABC):
         jobs: list[JobTaskState],
         now: float,
     ) -> list[MapAssignment]:
-        """Fill up to ``free_map_slots`` map slots of ``slave_id``."""
+        """Fill up to ``free_map_slots`` map slots of ``slave_id``, jobs in order."""
+        assignments: list[MapAssignment] = []
+        for job in jobs:
+            if free_map_slots <= 0:
+                break
+            free_map_slots = self._fill_from_job(job, slave_id, free_map_slots, now, assignments)
+        return assignments
+
+    def pick_map(self, job: JobTaskState, slave_id: int, now: float) -> MapPick | None:
+        """Draw one map task of ``job`` for a free slot of ``slave_id``.
+
+        Returns None when ``job`` has nothing this slave should run now;
+        the fill loop then moves on to the next job.
+        """
+        raise NotImplementedError(f"{type(self).__name__} must implement pick_map")
+
+    def _fill_from_job(
+        self, job: JobTaskState, slave_id: int, free_map_slots: int, now: float,
+        assignments: list[MapAssignment],
+    ) -> int:
+        """Append one pick of ``job`` per free slot; return the slots left."""
+        tracing = self.bus is not None
+        snapshot = tracing and self.trace_pacing
+        while free_map_slots > 0:
+            # Pacing state is captured before the pick pops a task and
+            # moves m/m_d: the record shows what the pick saw.
+            pacing = self.pacing_fields(job) if snapshot else None
+            pick = self.pick_map(job, slave_id, now)
+            if pick is None:
+                break
+            assignment = pick.assignment
+            assignments.append(assignment)
+            free_map_slots -= 1
+            if tracing:
+                self.trace_decision(
+                    now, slave_id, job_id=job.job_id,
+                    action="assign", reason=pick.reason,
+                    category=assignment.category.value,
+                    block=str(assignment.block),
+                    **(pick.trace or {}), **(pacing or {}),
+                )
+        return free_map_slots
 
     def _assign_reduces(
         self, slave_id: int, free_reduce_slots: int, jobs: list[JobTaskState]

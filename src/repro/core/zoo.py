@@ -4,7 +4,12 @@ ROADMAP item 1 turns the reproduction into a scheduling research platform;
 these are the first residents.  Each policy is a normal
 :class:`~repro.core.scheduler.Scheduler` subclass registered under its
 ``name`` -- nothing here is special-cased anywhere else, so the zoo doubles
-as a worked example of the third-party policy contract (DESIGN.md §16):
+as a worked example of the third-party policy contract (DESIGN.md §16).
+FIFO and STEAL supply only a pick (``pick_map``) and leave the job walk,
+slot count and decision trace to the base class's fill loop; CPATH, CLONE
+and HETERO reorder the jobs or cap the slots, then hand over to the
+inherited loop; RANDOM keeps its own loop because it draws a job per slot
+rather than walking jobs in order:
 
 * :class:`RandomScheduler` (``RANDOM``) -- locality-blind baseline that
   picks a random source node per slot; the floor every informed policy
@@ -35,7 +40,8 @@ import math
 import random
 
 from repro.core.degraded_first import BasicDegradedFirstScheduler
-from repro.core.scheduler import Scheduler, SchedulerContext
+from repro.core.locality_first import LocalityFirstScheduler
+from repro.core.scheduler import MapPick, Scheduler, SchedulerContext
 from repro.core.tasks import JobTaskState
 from repro.mapreduce.job import MapAssignment, MapTaskCategory
 
@@ -121,42 +127,16 @@ class FifoScheduler(Scheduler):
 
     name = "FIFO"
 
-    def assign_maps(self, slave_id, free_map_slots, jobs, now):
-        tracing = self.bus is not None
-        assignments: list[MapAssignment] = []
-        node_ids = sorted(self.context.topology.node_ids())
-        for job in jobs:
-            while free_map_slots > 0:
-                pacing = self.pacing_fields(job) if tracing else None
-                assignment = self._pop_scan_order(job, slave_id, node_ids)
-                if assignment is None:
-                    break
-                assignments.append(assignment)
-                free_map_slots -= 1
-                if tracing:
-                    self.trace_decision(
-                        now, slave_id, job_id=job.job_id,
-                        action="assign", reason="fifo-scan",
-                        category=assignment.category.value,
-                        block=str(assignment.block),
-                        **pacing,
-                    )
-            if free_map_slots == 0:
-                break
-        return assignments
-
-    def _pop_scan_order(
-        self, job: JobTaskState, slave_id: int, node_ids: list[int]
-    ) -> MapAssignment | None:
+    def pick_map(self, job: JobTaskState, slave_id: int, now: float) -> MapPick | None:
         if job.has_unassigned_normal():
-            for node_id in node_ids:
+            for node_id in self.context.topology.node_ids():
                 block = job.pop_from_node(node_id)
                 if block is not None:
-                    return self._make_map_assignment(
-                        job, slave_id, block,
-                        _category_for(self.context, slave_id, node_id),
-                    )
-        return self._try_degraded(job, slave_id)
+                    category = _category_for(self.context, slave_id, node_id)
+                    assignment = self._make_map_assignment(job, slave_id, block, category)
+                    return MapPick(assignment, "fifo-scan")
+        assignment = self._try_degraded(job, slave_id)
+        return None if assignment is None else MapPick(assignment, "fifo-scan")
 
 
 class WorkStealingScheduler(Scheduler):
@@ -172,55 +152,22 @@ class WorkStealingScheduler(Scheduler):
 
     name = "STEAL"
 
-    def assign_maps(self, slave_id, free_map_slots, jobs, now):
-        tracing = self.bus is not None
-        assignments: list[MapAssignment] = []
-        for job in jobs:
-            while free_map_slots > 0:
-                pacing = self.pacing_fields(job) if tracing else None
-                assignment, reason, victim = self._pop_next(job, slave_id, jobs)
-                if assignment is None:
-                    break
-                assignments.append(assignment)
-                free_map_slots -= 1
-                if tracing:
-                    fields = dict(
-                        action="assign", reason=reason,
-                        category=assignment.category.value,
-                        block=str(assignment.block),
-                    )
-                    if victim is not None:
-                        fields["victim"] = victim
-                        fields["victim_backlog"] = job.pending_node_local_count(victim)
-                    self.trace_decision(
-                        now, slave_id, job_id=job.job_id, **fields, **pacing
-                    )
-            if free_map_slots == 0:
-                break
-        return assignments
-
-    def _pop_next(
-        self, job: JobTaskState, slave_id: int, jobs: list[JobTaskState]
-    ) -> tuple[MapAssignment | None, str, int | None]:
+    def pick_map(self, job: JobTaskState, slave_id: int, now: float) -> MapPick | None:
         block = job.pop_from_node(slave_id)
         if block is not None:
-            return (
-                self._make_map_assignment(job, slave_id, block, MapTaskCategory.NODE_LOCAL),
-                "own-queue",
-                None,
-            )
+            category = MapTaskCategory.NODE_LOCAL
+            assignment = self._make_map_assignment(job, slave_id, block, category)
+            return MapPick(assignment, "own-queue")
         victim = self._pick_victim(job, slave_id)
         if victim is not None:
             block = job.pop_from_node(victim)
-            return (
-                self._make_map_assignment(
-                    job, slave_id, block, _category_for(self.context, slave_id, victim)
-                ),
-                "steal",
-                victim,
-            )
+            category = _category_for(self.context, slave_id, victim)
+            assignment = self._make_map_assignment(job, slave_id, block, category)
+            # The traced backlog is what the victim has left after the pop.
+            trace = {"victim": victim, "victim_backlog": job.pending_node_local_count(victim)}
+            return MapPick(assignment, "steal", trace)
         assignment = self._try_degraded(job, slave_id)
-        return assignment, "degraded-tail", None
+        return None if assignment is None else MapPick(assignment, "degraded-tail")
 
     def _pick_victim(self, job: JobTaskState, slave_id: int) -> int | None:
         """The live node with the deepest pending queue (ties: lowest id)."""
@@ -275,7 +222,7 @@ class CriticalPathScheduler(BasicDegradedFirstScheduler):
         )
 
 
-class TaskCloningScheduler(Scheduler):
+class TaskCloningScheduler(LocalityFirstScheduler):
     """Task cloning (Xu & Lau): hold slots back in the tail to feed clones.
 
     Straggler *cloning* beats straggler *detection* when spare slots are
@@ -294,33 +241,13 @@ class TaskCloningScheduler(Scheduler):
     name = "CLONE"
 
     def assign_maps(self, slave_id, free_map_slots, jobs, now):
-        tracing = self.bus is not None
         if free_map_slots > 0 and self._in_tail(jobs):
             free_map_slots = 1
-        assignments: list[MapAssignment] = []
-        for job in jobs:
-            while free_map_slots > 0:
-                pacing = self.pacing_fields(job) if tracing else None
-                assignment = (
-                    self._try_local(job, slave_id)
-                    or self._try_remote(job, slave_id)
-                    or self._try_degraded(job, slave_id)
-                )
-                if assignment is None:
-                    break
-                assignments.append(assignment)
-                free_map_slots -= 1
-                if tracing:
-                    self.trace_decision(
-                        now, slave_id, job_id=job.job_id,
-                        action="assign", reason="clone-tail" if self._tail else "lf-order",
-                        category=assignment.category.value,
-                        block=str(assignment.block),
-                        **pacing,
-                    )
-            if free_map_slots == 0:
-                break
-        return assignments
+        return super().assign_maps(slave_id, free_map_slots, jobs, now)
+
+    @property
+    def pick_reason(self) -> str:
+        return "clone-tail" if self._tail else "lf-order"
 
     def _in_tail(self, jobs: list[JobTaskState]) -> bool:
         pending = sum(

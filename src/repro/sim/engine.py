@@ -179,8 +179,11 @@ class Process:
         except StopIteration as stop:
             self.finished.succeed(stop.value)
             return
-        except Interrupt:
-            # An unhandled interrupt terminates the process quietly.
+        except Interrupt as interrupt:
+            # An unhandled interrupt terminates the process quietly.  Its
+            # traceback holds this frame, which holds the interrupt: drop
+            # it so the finished trial is freed by reference counting.
+            interrupt.__traceback__ = None
             self.finished.succeed(None)
             return
         if type(yielded) is Timeout:

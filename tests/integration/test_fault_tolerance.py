@@ -22,6 +22,7 @@ from repro.faults import (
 )
 from repro.mapreduce.config import JobConfig, SimulationConfig
 from repro.mapreduce.job import TaskKind
+from repro.mapreduce.serialization import result_to_json
 from repro.mapreduce.simulation import run_simulation
 
 
@@ -99,6 +100,19 @@ class TestScriptedTrace:
         assert first.faults == second.faults
         assert first.job(0).killed_attempts == second.job(0).killed_attempts
         assert first.job(0).speculative_killed == second.job(0).speculative_killed
+
+    def test_midrun_failure_is_byte_identical_across_runs(self):
+        """The processes a failing node interrupts go in start order.
+
+        Iterating them in object-address order made the retry order, and
+        so the whole schedule, vary from run to run.
+        """
+        cfg = config(
+            scheduler="LF", num_nodes=12, num_racks=3, map_slots=4,
+            code=CodeParams(6, 4), block_size=128 * MB, failure_time=15.0,
+        )
+        outputs = {result_to_json(run_simulation(cfg)) for _ in range(6)}
+        assert len(outputs) == 1
 
     def test_t0_schedule_equals_static_failure(self):
         """A t=0 fail event is the paper's down-before-start setting."""

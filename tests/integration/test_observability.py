@@ -139,13 +139,24 @@ class TestChromeTrace:
         assert "NaN" not in text
 
 
-@pytest.mark.parametrize("observed", [False, True], ids=["plain", "observed-checked"])
-def test_finished_trial_leaves_no_reference_cycles(observed):
+@pytest.mark.parametrize(
+    "observed, failure",
+    [
+        (False, {}),
+        (True, {}),
+        (False, {"failure_schedule": FailureSchedule(events=(FailEvent(at=5.0, node=3),))}),
+        (False, {"failure_time": 5.0}),
+    ],
+    ids=["plain", "observed-checked", "midrun-fail-event", "midrun-failure-time"],
+)
+def test_finished_trial_leaves_no_reference_cycles(observed, failure):
     # Campaigns run trials back to back: whatever only the cycle collector
     # can free piles up until it runs and sets the campaign's peak memory.
-    # (A node failing mid-run still strands a few frames in cycles.)
+    # A node failing mid-run interrupts processes, whose unhandled
+    # Interrupt must not keep its frame alive through its traceback.
     config = SimulationConfig(
-        scheduler="EDF", seed=7, jobs=(JobConfig(num_blocks=96, num_reduce_tasks=8),)
+        scheduler="EDF", seed=7, jobs=(JobConfig(num_blocks=96, num_reduce_tasks=8),),
+        **failure,
     )
     kwargs = {"observer": ObservabilityCollector(), "check": True} if observed else {}
     gc.collect()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -48,6 +50,46 @@ class TestSimulate:
     def test_unrunnable_config_exits_2(self, capsys):
         assert main(["simulate", "--map-slots", "0", "--blocks", "48"]) == 2
         assert "map slot" in capsys.readouterr().err
+
+    def test_unrunnable_config_file_exits_2(self, capsys, tmp_path):
+        from repro.mapreduce.config import JobConfig, SimulationConfig
+        from repro.mapreduce.serialization import config_to_dict
+
+        payload = config_to_dict(
+            SimulationConfig(num_nodes=6, num_racks=2, jobs=(JobConfig(num_blocks=12),))
+        )
+        payload["map_slots"] = 0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "map slot" in err and str(path) in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"events": [{"kind": "fail", "at": 30.0}]}',
+            '{"events": [{"kind": "fail", "at": 30.0, "nod": 3}]}',
+            '{"events": [{"kind": "fail", "at": -1.0, "node": 3}]}',
+            '{"events": [{"kind": "melt", "at": 30.0, "node": 3}]}',
+            '{"events": [',
+        ],
+        ids=["no-target", "misspelt-field", "negative-time", "unknown-kind", "bad-json"],
+    )
+    def test_malformed_failure_trace_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "trace.json"
+        path.write_text(text)
+        code = main(
+            [
+                "simulate", "--nodes", "6", "--racks", "2", "--code", "4,2",
+                "--blocks", "12", "--failure-trace", str(path),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad --failure-trace file")
+        assert len(err.strip().splitlines()) == 1
 
     def test_bad_code_argument(self, capsys):
         assert main(["simulate", "--code", "oops"]) == 2
